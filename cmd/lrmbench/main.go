@@ -86,15 +86,6 @@ func fatal(ctx context.Context, msg string, args ...any) {
 	os.Exit(1)
 }
 
-// parallelizable is declared structurally (rather than using
-// compress.Parallelizable) so this command also compiles against trees
-// whose codecs predate the worker knob: such codecs simply skip the
-// workers>1 variants.
-type parallelizable interface {
-	compress.Codec
-	WithWorkers(workers int) compress.Codec
-}
-
 // StageStat is one pipeline stage's accumulated contribution to a cell,
 // distilled from the internal/obs stage metric bundle (-stats only).
 type StageStat struct {
@@ -337,19 +328,25 @@ func run(iters int, baseline *Report, stats, profTop bool) *Report {
 		{"fpc", fpc.MustNew(12)},
 	}
 	rep := &Report{Schema: schemaID, GoMaxProcs: runtime.GOMAXPROCS(0), Iters: iters}
+	ctx := context.Background()
 	for _, size := range []string{"small", "medium"} {
 		f := benchField(size)
 		for _, c := range codecs {
+			// Every cell binds its worker count, workers=1 included: an
+			// unbound codec runs at its default pool (GOMAXPROCS), which
+			// would mislabel the serial cells. Serial-only codecs (fpc)
+			// accept no budget and get the workers=1 cell alone.
+			tunable, ok := c.codec.(compress.ParallelTunable)
 			workerCounts := []int{1}
-			if _, ok := c.codec.(parallelizable); ok {
+			if ok {
 				workerCounts = append(workerCounts, 4)
 			}
 			for _, w := range workerCounts {
 				codec := c.codec
-				if w != 1 {
-					codec = codec.(parallelizable).WithWorkers(w)
+				if ok {
+					codec = tunable.WithParallel(parallel.Config{Workers: w})
 				}
-				enc, err := codec.Compress(f)
+				enc, err := codec.Compress(ctx, f)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "lrmbench: %s/%s: %v\n", c.family, size, err)
 					os.Exit(1)
@@ -358,11 +355,11 @@ func run(iters int, baseline *Report, stats, profTop bool) *Report {
 				suffix := fmt.Sprintf("workers=%d", w)
 				rep.Benchmarks = append(rep.Benchmarks,
 					measure(fmt.Sprintf("%s/compress/%s", prefix, suffix), iters, 8*f.Len(), w, stats, profTop, func() error {
-						_, err := codec.Compress(f)
+						_, err := codec.Compress(ctx, f)
 						return err
 					}),
 					measure(fmt.Sprintf("%s/decompress/%s", prefix, suffix), iters, 8*f.Len(), w, stats, profTop, func() error {
-						_, err := codec.Decompress(enc)
+						_, err := codec.Decompress(ctx, enc)
 						return err
 					}),
 				)
@@ -557,7 +554,7 @@ func runTraced(path string) error {
 	if err != nil {
 		return fmt.Errorf("traced compress: %w", err)
 	}
-	if _, err := core.DecompressCtx(ctx, res.Archive); err != nil {
+	if _, err := core.DecompressWithOptsCtx(ctx, res.Archive, core.DecompressOpts{}); err != nil {
 		return fmt.Errorf("traced decompress: %w", err)
 	}
 	cres, err := core.CompressChunkedCtx(ctx, f, opts, 4)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -20,6 +21,9 @@ func TestRunProducesFullMatrix(t *testing.T) {
 		obs.SetEnabled(prev)
 		obs.Reset()
 	}()
+	// Several procs, so a workers=1 cell left at the codec's default pool
+	// would visibly shard (checked below).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rep := run(1, nil, true, false)
 	if rep.Schema != schemaID {
 		t.Fatalf("schema %q", rep.Schema)
@@ -81,6 +85,18 @@ func TestRunProducesFullMatrix(t *testing.T) {
 	}
 	if st := stages["sz/medium/compress/workers=1"]["sz.compress"]; st.BytesIn <= 0 || st.BytesOut <= 0 {
 		t.Errorf("sz.compress stage lacks byte attribution: %+v", st)
+	}
+	// The workers label must be the budget the codec ran with: a serial
+	// cell encodes one zfp shard per compress call, a workers=4 cell more.
+	for cell, serial := range map[string]bool{
+		"zfp/medium/compress/workers=1": true,
+		"zfp/medium/compress/workers=4": false,
+	} {
+		st := stages[cell]
+		shards, calls := st["zfp.shard_encode"].Calls, st["zfp.compress"].Calls
+		if calls < 1 || (shards == calls) != serial {
+			t.Errorf("%s: %d shards over %d compress calls, want serial=%v", cell, shards, calls, serial)
+		}
 	}
 
 	data, err := json.Marshal(rep)

@@ -60,7 +60,7 @@ func run(compressMode, decompressMode, selectMode bool, model, codec, dims strin
 		if err != nil {
 			return err
 		}
-		f, err := core.Decompress(archive)
+		f, err := core.DecompressWithOpts(archive, core.DecompressOpts{})
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,11 +38,11 @@ func main() {
 		}
 		f := pair.Full
 		for _, c := range codecs {
-			enc, err := c.Compress(f)
+			enc, err := c.Compress(context.Background(), f)
 			if err != nil {
 				log.Fatalf("%s/%s: %v", name, c.Name(), err)
 			}
-			dec, err := c.Decompress(enc)
+			dec, err := c.Decompress(context.Background(), enc)
 			if err != nil {
 				log.Fatalf("%s/%s: %v", name, c.Name(), err)
 			}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -80,16 +81,16 @@ func main() {
 	codec := zfp.MustNew(16)
 	deltaCodec := zfp.MustNew(8)
 
-	rawStream, err := codec.Compress(field)
+	rawStream, err := codec.Compress(context.Background(), field)
 	if err != nil {
 		log.Fatal(err)
 	}
 	basePlane := field.Plane(midOwnerPlane)
-	baseStream, err := codec.Compress(basePlane)
+	baseStream, err := codec.Compress(context.Background(), basePlane)
 	if err != nil {
 		log.Fatal(err)
 	}
-	deltaStream, err := deltaCodec.Compress(deltas)
+	deltaStream, err := deltaCodec.Compress(context.Background(), deltas)
 	if err != nil {
 		log.Fatal(err)
 	}

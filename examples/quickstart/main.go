@@ -50,7 +50,7 @@ func main() {
 			log.Fatalf("%s: %v", m.name, err)
 		}
 		// 4. Round trip and measure the information loss.
-		back, err := core.Decompress(res.Archive)
+		back, err := core.DecompressWithOpts(res.Archive, core.DecompressOpts{})
 		if err != nil {
 			log.Fatalf("%s: decompress: %v", m.name, err)
 		}

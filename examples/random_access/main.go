@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -26,11 +27,11 @@ func main() {
 	fmt.Printf("%6s %12s %10s %14s %16s\n", "rate", "stream", "ratio", "RMSE", "probe 64 pts")
 	for _, rate := range []int{4, 8, 16, 32} {
 		codec := zfp.MustNewRate(rate)
-		enc, err := codec.Compress(field)
+		enc, err := codec.Compress(context.Background(), field)
 		if err != nil {
 			log.Fatal(err)
 		}
-		full, err := codec.Decompress(enc)
+		full, err := codec.Decompress(context.Background(), enc)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 	codec := zfp.MustNewAccuracy(1e-5)
 	opts := core.Options{Model: reduce.OneBase{}, DataCodec: codec, DeltaCodec: codec}
 
-	series, err := core.CompressSeries(snaps, opts)
+	series, err := core.CompressSeries(context.Background(), snaps, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func main() {
 	}
 
 	// Verify the round trip stays within the codec tolerance on every frame.
-	decoded, err := core.DecompressSeries(series.Archive)
+	decoded, err := core.DecompressSeries(context.Background(), series.Archive)
 	if err != nil {
 		log.Fatal(err)
 	}

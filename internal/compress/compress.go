@@ -6,6 +6,7 @@ package compress
 import (
 	"bytes"
 	"compress/flate"
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -16,13 +17,27 @@ import (
 
 // Codec compresses and decompresses whole fields. A codec's stream is
 // self-describing: Decompress needs no side information.
+//
+// ctx carries observability, never configuration: spans the codec opens
+// parent onto the span carried by ctx, and pool workers inherit the
+// submitting stage's pprof labels. The stream is the same for every ctx.
 type Codec interface {
 	// Name identifies the codec and its configuration, e.g. "zfp(p=16)".
 	Name() string
 	// Lossless reports whether Decompress(Compress(f)) is bit-exact.
 	Lossless() bool
-	Compress(f *grid.Field) ([]byte, error)
-	Decompress(b []byte) (*grid.Field, error)
+	Compress(ctx context.Context, f *grid.Field) ([]byte, error)
+	Decompress(ctx context.Context, b []byte) (*grid.Field, error)
+}
+
+// CompressCtx compresses f with c.
+func CompressCtx(ctx context.Context, c Codec, f *grid.Field) ([]byte, error) {
+	return c.Compress(ctx, f)
+}
+
+// DecompressCtx decompresses b with c.
+func DecompressCtx(ctx context.Context, c Codec, b []byte) (*grid.Field, error) {
+	return c.Decompress(ctx, b)
 }
 
 // ErrorBounded is the optional interface of codecs that guarantee a
@@ -174,7 +189,7 @@ func (c *Flate) level() int {
 }
 
 // Compress implements Codec.
-func (c *Flate) Compress(f *grid.Field) ([]byte, error) {
+func (c *Flate) Compress(_ context.Context, f *grid.Field) ([]byte, error) {
 	hdr := EncodeDimsHeader(f.Dims)
 	body, err := FlateBytes(f.Bytes(), c.level())
 	if err != nil {
@@ -184,7 +199,7 @@ func (c *Flate) Compress(f *grid.Field) ([]byte, error) {
 }
 
 // Decompress implements Codec.
-func (c *Flate) Decompress(b []byte) (*grid.Field, error) {
+func (c *Flate) Decompress(_ context.Context, b []byte) (*grid.Field, error) {
 	dims, rest, err := DecodeDimsHeader(b)
 	if err != nil {
 		return nil, err

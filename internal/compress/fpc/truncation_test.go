@@ -1,6 +1,7 @@
 package fpc
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -20,12 +21,12 @@ func TestDecompressEveryPrefix(t *testing.T) {
 		}
 	}
 	c := MustNew(10)
-	enc, err := c.Compress(f)
+	enc, err := c.Compress(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 0; n < len(enc); n++ {
-		_, err := c.Decompress(enc[:n])
+		_, err := c.Decompress(context.Background(), enc[:n])
 		if err == nil {
 			t.Fatalf("prefix %d/%d decoded without error", n, len(enc))
 		}

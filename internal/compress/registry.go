@@ -1,35 +1,32 @@
 package compress
 
 import (
+	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"lrm/internal/grid"
 )
 
-// Decoder decompresses one self-describing stream of a codec family.
-// Streams carry their own configuration, so a single decoder per family
-// suffices regardless of how the encoder was configured.
-type Decoder func([]byte) (*grid.Field, error)
-
-// WorkersDecoder is a Decoder with an explicit decode-side worker budget.
-// workers <= 0 selects the codec's default pool size. Implementations must
-// return identical fields at every worker count (the same contract as
-// Parallelizable on the compress side).
-type WorkersDecoder func(b []byte, workers int) (*grid.Field, error)
+// Decoder decompresses one self-describing stream of a codec family at a
+// decode-side worker budget. Streams carry their own configuration, so a
+// single decoder per family suffices regardless of how the encoder was
+// configured. workers <= 0 selects the codec's default pool size;
+// implementations must return identical fields at every worker count (the
+// same contract as Parallelizable on the compress side). ctx carries trace
+// propagation exactly as in Codec.Decompress.
+type Decoder func(ctx context.Context, b []byte, workers int) (*grid.Field, error)
 
 var (
-	registryMu      sync.RWMutex
-	decoders        = map[string]Decoder{}
-	workersDecoders = map[string]WorkersDecoder{}
+	registryMu sync.RWMutex
+	decoders   = map[string]Decoder{}
 )
 
-// RegisterDecoder installs the decoder for a codec family (the part of a
-// codec name before any '('). Codec packages call this from init, so
-// importing a codec package is what makes its streams decodable.
-// Registering a family twice panics: it would silently shadow a codec.
-func RegisterDecoder(family string, d Decoder) {
+// Register installs the decoder for a codec family (the part of a codec
+// name before any '('). Codec packages call this from init, so importing a
+// codec package is what makes its streams decodable. Registering a family
+// twice panics: it would silently shadow a codec.
+func Register(family string, d Decoder) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if _, dup := decoders[family]; dup {
@@ -38,57 +35,18 @@ func RegisterDecoder(family string, d Decoder) {
 	decoders[family] = d
 }
 
-// RegisterWorkersDecoder installs a worker-aware decoder for a family whose
-// decode path runs on a bounded pool, and derives the family's plain
-// Decoder from it (default budget). Codec packages with parallel decoders
-// call this INSTEAD of RegisterDecoder.
-func RegisterWorkersDecoder(family string, d WorkersDecoder) {
-	RegisterDecoder(family, func(b []byte) (*grid.Field, error) { return d(b, 0) })
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	workersDecoders[family] = d
-}
-
-// DecoderFor returns the decoder registered for a codec family.
-func DecoderFor(family string) (Decoder, error) {
+// DecoderCtxForWorkers returns the decode function registered for a codec
+// family, bound to the given worker budget. An unknown family wraps
+// ErrCorrupt: the family name comes from an archive, so a name nothing
+// registered is a damaged (or foreign) stream.
+func DecoderCtxForWorkers(family string, workers int) (func(ctx context.Context, b []byte) (*grid.Field, error), error) {
 	registryMu.RLock()
-	defer registryMu.RUnlock()
 	d, ok := decoders[family]
-	if !ok {
-		return nil, fmt.Errorf("compress: no decoder registered for family %q (have %v): %w",
-			family, familiesLocked(), ErrCorrupt)
-	}
-	return d, nil
-}
-
-// DecoderForWorkers returns a decoder bound to the given worker budget.
-// Families without a registered worker-aware decoder (serial decode paths)
-// fall back to their plain decoder, which trivially honours any budget.
-func DecoderForWorkers(family string, workers int) (Decoder, error) {
-	registryMu.RLock()
-	wd, ok := workersDecoders[family]
 	registryMu.RUnlock()
-	if ok {
-		return func(b []byte) (*grid.Field, error) { return wd(b, workers) }, nil
+	if !ok {
+		return nil, fmt.Errorf("compress: no decoder registered for family %q: %w", family, ErrCorrupt)
 	}
-	return DecoderFor(family)
-}
-
-// Families lists the registered codec families, sorted.
-func Families() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	return familiesLocked()
-}
-
-// familiesLocked is Families for callers already holding registryMu.
-func familiesLocked() []string {
-	out := make([]string, 0, len(decoders))
-	for f := range decoders {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
+	return func(ctx context.Context, b []byte) (*grid.Field, error) { return d(ctx, b, workers) }, nil
 }
 
 // CodecFamily strips the parameterisation from a codec name:
@@ -103,5 +61,7 @@ func CodecFamily(name string) string {
 }
 
 func init() {
-	RegisterDecoder("flate", NewFlate(6).Decompress)
+	Register("flate", func(ctx context.Context, b []byte, _ int) (*grid.Field, error) {
+		return NewFlate(6).Decompress(ctx, b)
+	})
 }

@@ -1,6 +1,7 @@
 package sz
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,7 +25,7 @@ func TestGenerateCorpus(t *testing.T) {
 		"pwrel":    MustNew(PointwiseRel, 1e-3),
 		"curvefit": MustNewCurveFit(Abs, 1e-3),
 	} {
-		enc, err := c.Compress(field)
+		enc, err := c.Compress(context.Background(), field)
 		if err != nil {
 			t.Fatal(err)
 		}

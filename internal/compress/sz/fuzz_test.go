@@ -1,6 +1,7 @@
 package sz
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -21,7 +22,7 @@ func FuzzDecompress(f *testing.F) {
 		MustNew(PointwiseRel, 1e-3),
 		MustNewCurveFit(Abs, 1e-3),
 	} {
-		enc, err := c.Compress(field)
+		enc, err := c.Compress(context.Background(), field)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -29,13 +30,13 @@ func FuzzDecompress(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := MustNew(Abs, 1e-3)
-		out, err := c.Decompress(data)
+		out, err := c.Decompress(context.Background(), data)
 		if err == nil && out != nil {
 			if out.Len() == 0 || out.Len() > 1<<24 {
 				t.Fatalf("implausible decode length %d", out.Len())
 			}
 		}
-		outP, errP := c.WithWorkers(8).Decompress(data)
+		outP, errP := c.WithWorkers(8).Decompress(context.Background(), data)
 		if (err == nil) != (errP == nil) {
 			t.Fatalf("serial/parallel decode disagree: %v vs %v", err, errP)
 		}

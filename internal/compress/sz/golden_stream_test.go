@@ -1,6 +1,7 @@
 package sz
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"math"
@@ -101,14 +102,14 @@ func TestGoldenStreams(t *testing.T) {
 		base := szGoldenCodec(t, cn)
 		for _, workers := range []int{1, 8} {
 			c := base.WithParallel(parallel.Config{Workers: workers, MinShardBytes: -1})
-			enc, err := c.Compress(f)
+			enc, err := c.Compress(context.Background(), f)
 			if err != nil {
 				t.Fatalf("%s/%s workers=%d: %v", cn, fn, workers, err)
 			}
 			if got := goldenHash(enc); got != want {
 				t.Errorf("%s/%s workers=%d: stream hash %s, want golden %s", cn, fn, workers, got, want)
 			}
-			back, err := c.Decompress(enc)
+			back, err := c.Decompress(context.Background(), enc)
 			if err != nil {
 				t.Fatalf("%s/%s workers=%d decode: %v", cn, fn, workers, err)
 			}

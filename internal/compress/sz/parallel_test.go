@@ -2,6 +2,7 @@ package sz
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,23 +30,23 @@ func TestParallelByteIdentity(t *testing.T) {
 			f.Data[i] = math.Cos(float64(i)/13) + 0.05*rng.NormFloat64()
 		}
 		for _, serial := range codecs {
-			want, err := serial.WithWorkers(1).Compress(f)
+			want, err := serial.WithWorkers(1).Compress(context.Background(), f)
 			if err != nil {
 				t.Fatalf("%s %v: serial: %v", serial.Name(), dims, err)
 			}
 			for _, w := range []int{2, 4, 8} {
-				got, err := serial.WithWorkers(w).Compress(f)
+				got, err := serial.WithWorkers(w).Compress(context.Background(), f)
 				if err != nil {
 					t.Fatalf("%s %v w=%d: %v", serial.Name(), dims, w, err)
 				}
 				if !bytes.Equal(got, want) {
 					t.Fatalf("%s %v: workers=%d stream differs from serial", serial.Name(), dims, w)
 				}
-				dec1, err := serial.WithWorkers(1).Decompress(want)
+				dec1, err := serial.WithWorkers(1).Decompress(context.Background(), want)
 				if err != nil {
 					t.Fatalf("%s %v: serial decompress: %v", serial.Name(), dims, err)
 				}
-				decW, err := serial.WithWorkers(w).Decompress(want)
+				decW, err := serial.WithWorkers(w).Decompress(context.Background(), want)
 				if err != nil {
 					t.Fatalf("%s %v w=%d: decompress: %v", serial.Name(), dims, w, err)
 				}

@@ -475,14 +475,9 @@ func parsePayload(b []byte, n int) (codes []int, exact []float64, err error) {
 	return codes, exact, nil
 }
 
-// Compress implements compress.Codec.
-func (c *Codec) Compress(f *grid.Field) ([]byte, error) {
-	return c.CompressCtx(context.Background(), f)
-}
-
-// CompressCtx implements compress.CtxCodec: identical stream to Compress,
-// with the stage spans parented onto the span carried by ctx.
-func (c *Codec) CompressCtx(ctx context.Context, f *grid.Field) ([]byte, error) {
+// Compress implements compress.Codec. The stage spans parent onto the
+// span carried by ctx.
+func (c *Codec) Compress(ctx context.Context, f *grid.Field) ([]byte, error) {
 	ctx, sp := trace.Start(ctx, "sz.compress")
 	defer sp.End()
 	workers := c.workerCount(8 * int64(f.Len()))
@@ -607,12 +602,7 @@ func (c *Codec) CompressCtx(ctx context.Context, f *grid.Field) ([]byte, error) 
 
 // Decompress implements compress.Codec. Failures wrap the
 // compress.ErrTruncated / compress.ErrCorrupt taxonomy.
-func (c *Codec) Decompress(data []byte) (*grid.Field, error) {
-	return c.DecompressCtx(context.Background(), data)
-}
-
-// DecompressCtx implements compress.CtxCodec.
-func (c *Codec) DecompressCtx(ctx context.Context, data []byte) (*grid.Field, error) {
+func (c *Codec) Decompress(ctx context.Context, data []byte) (*grid.Field, error) {
 	ctx, sp := trace.Start(ctx, "sz.decompress")
 	defer sp.End()
 	f, err := c.decompress(ctx, data)
@@ -745,18 +735,11 @@ func (c *Codec) decompress(ctx context.Context, data []byte) (*grid.Field, error
 	return nil, fmt.Errorf("sz: unreachable mode %d: %w", mode, compress.ErrCorrupt)
 }
 
-// The codec is fully context-aware: plain Compress/Decompress delegate to
-// the Ctx variants with a background context.
-var _ compress.CtxCodec = (*Codec)(nil)
-
 func init() {
 	// Streams are self-describing (mode/bound come from the header), so the
 	// constructor arguments only seed a receiver; the worker budget is the
 	// one knob that matters on decode.
-	compress.RegisterWorkersDecoder("sz", func(b []byte, workers int) (*grid.Field, error) {
-		return MustNew(Abs, 1e-5).WithWorkers(workers).Decompress(b)
-	})
-	compress.RegisterCtxDecoder("sz", func(ctx context.Context, b []byte, workers int) (*grid.Field, error) {
-		return compress.DecompressCtx(ctx, MustNew(Abs, 1e-5).WithWorkers(workers), b)
+	compress.Register("sz", func(ctx context.Context, b []byte, workers int) (*grid.Field, error) {
+		return MustNew(Abs, 1e-5).WithWorkers(workers).Decompress(ctx, b)
 	})
 }

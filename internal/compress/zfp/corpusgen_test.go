@@ -1,6 +1,7 @@
 package zfp
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,7 +24,7 @@ func TestGenerateCorpus(t *testing.T) {
 		"accuracy":  MustNewAccuracy(1e-3),
 		"rate":      MustNewRate(8),
 	} {
-		enc, err := c.Compress(field)
+		enc, err := c.Compress(context.Background(), field)
 		if err != nil {
 			t.Fatal(err)
 		}

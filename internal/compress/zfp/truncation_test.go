@@ -1,6 +1,7 @@
 package zfp
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -24,12 +25,12 @@ func TestDecompressEveryPrefix(t *testing.T) {
 		MustNewAccuracy(1e-4),
 		MustNewRate(10),
 	} {
-		enc, err := c.Compress(f)
+		enc, err := c.Compress(context.Background(), f)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
 		for n := 0; n < len(enc); n++ {
-			_, err := c.Decompress(enc[:n])
+			_, err := c.Decompress(context.Background(), enc[:n])
 			if err == nil {
 				t.Fatalf("%s: prefix %d/%d decoded without error", c.Name(), n, len(enc))
 			}

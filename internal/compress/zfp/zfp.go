@@ -777,14 +777,9 @@ func (s *blockScratch) release() {
 	parallel.PutUint64s(s.nb)
 }
 
-// Compress implements compress.Codec.
-func (c *Codec) Compress(f *grid.Field) ([]byte, error) {
-	return c.CompressCtx(context.Background(), f)
-}
-
-// CompressCtx implements compress.CtxCodec: identical stream to Compress,
-// with the codec's spans parented onto the span carried by ctx.
-func (c *Codec) CompressCtx(ctx context.Context, f *grid.Field) ([]byte, error) {
+// Compress implements compress.Codec. The codec's spans parent onto the
+// span carried by ctx.
+func (c *Codec) Compress(ctx context.Context, f *grid.Field) ([]byte, error) {
 	ctx, sp := trace.Start(ctx, "zfp.compress")
 	defer sp.End()
 	if c.mode == modeRate {
@@ -1157,12 +1152,7 @@ const emptyEmax = math.MinInt32
 
 // Decompress implements compress.Codec. Failures wrap the
 // compress.ErrTruncated / compress.ErrCorrupt taxonomy.
-func (c *Codec) Decompress(data []byte) (*grid.Field, error) {
-	return c.DecompressCtx(context.Background(), data)
-}
-
-// DecompressCtx implements compress.CtxCodec.
-func (c *Codec) DecompressCtx(ctx context.Context, data []byte) (*grid.Field, error) {
+func (c *Codec) Decompress(ctx context.Context, data []byte) (*grid.Field, error) {
 	ctx, sp := trace.Start(ctx, "zfp.decompress")
 	defer sp.End()
 	f, err := c.decompress(ctx, data)
@@ -1385,15 +1375,8 @@ func (c *Codec) decompressParallel(ctx context.Context, f *grid.Field, bs []bloc
 	return f, nil
 }
 
-// The codec is fully context-aware: plain Compress/Decompress delegate to
-// the Ctx variants with a background context.
-var _ compress.CtxCodec = (*Codec)(nil)
-
 func init() {
-	compress.RegisterWorkersDecoder("zfp", func(b []byte, workers int) (*grid.Field, error) {
-		return MustNew(16).WithWorkers(workers).Decompress(b)
-	})
-	compress.RegisterCtxDecoder("zfp", func(ctx context.Context, b []byte, workers int) (*grid.Field, error) {
-		return compress.DecompressCtx(ctx, MustNew(16).WithWorkers(workers), b)
+	compress.Register("zfp", func(ctx context.Context, b []byte, workers int) (*grid.Field, error) {
+		return MustNew(16).WithWorkers(workers).Decompress(ctx, b)
 	})
 }

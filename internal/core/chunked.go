@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"math"
 	"strconv"
-	"strings"
 
 	"lrm/internal/compress"
 	"lrm/internal/grid"
@@ -29,16 +28,6 @@ var (
 
 // chunkedMagic marks the multi-chunk container format.
 const chunkedMagic = "LRMC"
-
-// codecFamily reduces a codec's self-description to its family name for
-// pprof labels: "sz(abs=1e-3)" → "sz". Parameters would explode label
-// cardinality in the continuous profiler's per-codec attribution.
-func codecFamily(name string) string {
-	if i := strings.IndexByte(name, '('); i >= 0 {
-		name = name[:i]
-	}
-	return name
-}
 
 // CompressChunked splits the field into `chunks` slabs along the leading
 // dimension and compresses them concurrently on the shared bounded worker
@@ -101,8 +90,9 @@ func CompressChunkedCtx(ctx context.Context, f *grid.Field, opts Options, chunks
 	outs := make([]chunkOut, chunks)
 	// The codec family label ("sz", not "sz(abs=1e-3)") joins stage/chunk
 	// on the workers' pprof labels, so the continuous profiler can split
-	// CPU by codec as request-level codec choice becomes dynamic.
-	codecFam := codecFamily(opts.DataCodec.Name())
+	// CPU by codec as request-level codec choice becomes dynamic; the
+	// parameters would explode label cardinality.
+	codecFam := compress.CodecFamily(opts.DataCodec.Name())
 	parallel.ForCtx(ctx, workers, chunks, func(ctx context.Context, c int) {
 		// Cancellation is checked once per chunk, here at the boundary: a
 		// canceled request (client disconnect, deadline) stops scheduling new

@@ -33,7 +33,7 @@ func TestChunkedConcurrentPipelines(t *testing.T) {
 				t.Errorf("worker %d: compress: %v", id, err)
 				return
 			}
-			dec, err := Decompress(res.Archive)
+			dec, err := DecompressWithOpts(res.Archive, DecompressOpts{})
 			if err != nil {
 				t.Errorf("worker %d: decompress: %v", id, err)
 				return
@@ -58,7 +58,7 @@ func TestChunkedConcurrentDecompressSharedArchive(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			dec, err := Decompress(res.Archive)
+			dec, err := DecompressWithOpts(res.Archive, DecompressOpts{})
 			if err != nil {
 				t.Errorf("reader %d: %v", id, err)
 				return

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"lrm/internal/compress"
 	"lrm/internal/compress/fpc"
 	"lrm/internal/compress/zfp"
 	"lrm/internal/grid"
@@ -22,7 +23,7 @@ func TestChunkedRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("chunks=%d model=%s: %v", chunks, modelName(m), err)
 			}
-			dec, err := Decompress(res.Archive)
+			dec, err := DecompressWithOpts(res.Archive, DecompressOpts{})
 			if err != nil {
 				t.Fatalf("chunks=%d model=%s: %v", chunks, modelName(m), err)
 			}
@@ -42,7 +43,7 @@ func TestChunkedLosslessExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decompress(res.Archive)
+	dec, err := DecompressWithOpts(res.Archive, DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestChunkedCRCDetectsCorruption(t *testing.T) {
 	for _, pos := range []int{len(res.Archive) / 2, len(res.Archive) - 1} {
 		bad := append([]byte(nil), res.Archive...)
 		bad[pos] ^= 0x40
-		_, err := Decompress(bad)
+		_, err := DecompressWithOpts(bad, DecompressOpts{})
 		if err == nil {
 			t.Fatalf("corruption at %d not detected", pos)
 		}
@@ -115,11 +116,11 @@ func TestChunkedTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(res.Archive); cut += 11 {
-		if _, err := Decompress(res.Archive[:cut]); err == nil {
+		if _, err := DecompressWithOpts(res.Archive[:cut], DecompressOpts{}); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := Decompress(append(res.Archive, 0)); err == nil {
+	if _, err := DecompressWithOpts(append(res.Archive, 0), DecompressOpts{}); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
@@ -151,7 +152,7 @@ func TestChunkedRank1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decompress(res.Archive)
+	dec, err := DecompressWithOpts(res.Archive, DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +161,9 @@ func TestChunkedRank1(t *testing.T) {
 	}
 }
 
-// TestCodecFamily pins the pprof codec-label reduction: parameters are
-// stripped so label cardinality stays at the codec-family count.
+// TestCodecFamily pins the pprof codec-label reduction CompressChunked
+// applies: parameters are stripped so label cardinality stays at the
+// codec-family count.
 func TestCodecFamily(t *testing.T) {
 	cases := map[string]string{
 		"sz(abs=1e-3)":      "sz",
@@ -170,8 +172,8 @@ func TestCodecFamily(t *testing.T) {
 		"":                  "",
 	}
 	for in, want := range cases {
-		if got := codecFamily(in); got != want {
-			t.Errorf("codecFamily(%q) = %q, want %q", in, got, want)
+		if got := compress.CodecFamily(in); got != want {
+			t.Errorf("CodecFamily(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

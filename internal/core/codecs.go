@@ -1,29 +1,13 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"lrm/internal/compress"
 	"lrm/internal/compress/fpc"
 	"lrm/internal/compress/sz"
 	"lrm/internal/compress/zfp"
-	"lrm/internal/grid"
 )
-
-// codecBase strips the parameterisation from a codec name:
-// "zfp(p=16)" -> "zfp". Streams are self-describing, so decoding only
-// needs to know the codec family.
-func codecBase(name string) string { return compress.CodecFamily(name) }
-
-// decoderFor returns a context-aware decompression function for a codec
-// family from the shared registry, bound to the given worker budget
-// (families without a ctx or worker-aware decoder fall back with ctx
-// ignored / serial decode). Codec packages register themselves at init; the
-// imports below (for PaperCodecs) pull every built-in family in.
-func decoderFor(family string, workers int) (func(ctx context.Context, b []byte) (*grid.Field, error), error) {
-	return compress.DecoderCtxForWorkers(family, workers)
-}
 
 // PaperCodecs returns the paper's standard codec configurations
 // (Section IV-B / V-B): primary codec for original data and rep, and the
@@ -32,6 +16,9 @@ func decoderFor(family string, workers int) (func(ctx context.Context, b []byte)
 //	zfp:  16-bit precision primary, 8-bit delta
 //	sz:   1e-5 pointwise-relative primary, 1e-3 delta
 //	fpc:  level 20 (lossless; same for both roles)
+//
+// The codec packages it imports register their decoders at init, so every
+// archive core writes is decodable wherever core is linked.
 func PaperCodecs(family string) (data, delta compress.Codec, err error) {
 	switch family {
 	case "zfp":

@@ -137,8 +137,8 @@ func compressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, err
 
 	if opts.Model == nil {
 		buf.WriteByte(modeDirect)
-		writeString(&buf, codecBase(opts.DataCodec.Name()))
-		stream, err := compress.CompressCtx(ctx, opts.DataCodec, f)
+		writeString(&buf, compress.CodecFamily(opts.DataCodec.Name()))
+		stream, err := opts.DataCodec.Compress(ctx, f)
 		if err != nil {
 			return nil, fmt.Errorf("core: direct compression: %w", err)
 		}
@@ -188,7 +188,7 @@ func compressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, err
 		dsp.End()
 		return nil, err
 	}
-	deltaStream, err := compress.CompressCtx(dspCtx, deltaCodec, delta)
+	deltaStream, err := deltaCodec.Compress(dspCtx, delta)
 	dsp.SetBytes(int64(8*f.Len()), int64(len(deltaStream)))
 	dsp.SetError(err)
 	dsp.End()
@@ -213,7 +213,7 @@ func compressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, err
 	}
 
 	buf.WriteByte(modePreconditoned)
-	writeString(&buf, codecBase(opts.DataCodec.Name()))
+	writeString(&buf, compress.CodecFamily(opts.DataCodec.Name()))
 	writeString(&buf, rep.Model)
 	buf.WriteByte(byte(len(rep.Dims)))
 	for _, d := range rep.Dims {
@@ -222,7 +222,7 @@ func compressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, err
 	writeUvarint(&buf, uint64(len(rep.Meta))) // pre-flate size for exactness
 	writeBytes(&buf, metaStream)
 	writeBytes(&buf, repValStream)
-	writeString(&buf, codecBase(deltaCodec.Name()))
+	writeString(&buf, compress.CodecFamily(deltaCodec.Name()))
 	writeBytes(&buf, deltaStream)
 
 	res.Archive = buf.Bytes()
@@ -251,7 +251,7 @@ func assertEndToEndBound(f *grid.Field, codec compress.Codec, archive []byte) {
 	if !ok {
 		return
 	}
-	back, err := Decompress(archive)
+	back, err := DecompressWithOpts(archive, DecompressOpts{})
 	invariant.Assert(err == nil, "core: invariant round trip failed: %v", err)
 	invariant.ErrorBound(f.Data, back.Data, boundWithSlack(eps, f), "core: end-to-end "+codec.Name())
 }
@@ -267,7 +267,7 @@ func assertEndToEndBoundEps(f *grid.Field, deltaCodec compress.Codec, delta *gri
 	if !ok {
 		return
 	}
-	back, err := Decompress(archive)
+	back, err := DecompressWithOpts(archive, DecompressOpts{})
 	invariant.Assert(err == nil, "core: invariant round trip failed: %v", err)
 	invariant.ErrorBound(f.Data, back.Data, boundWithSlack(eps, f), "core: end-to-end precond "+deltaCodec.Name())
 }
@@ -298,11 +298,11 @@ func storeRepValues(ctx context.Context, rep *reduce.Rep, codec compress.Codec) 
 	if err != nil {
 		return nil, nil, err
 	}
-	stream, err = compress.CompressCtx(ctx, codec, vf)
+	stream, err = codec.Compress(ctx, vf)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: rep compression: %w", err)
 	}
-	back, err := compress.DecompressCtx(ctx, codec, stream)
+	back, err := codec.Decompress(ctx, stream)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: rep verify: %w", err)
 	}
@@ -310,8 +310,8 @@ func storeRepValues(ctx context.Context, rep *reduce.Rep, codec compress.Codec) 
 	return stream, &cp, nil
 }
 
-// DecompressOpts configures decompression. The zero value matches
-// Decompress: default worker pool, fail-fast on any chunk error.
+// DecompressOpts configures decompression. The zero value is the default:
+// GOMAXPROCS workers, fail-fast on any chunk error.
 type DecompressOpts struct {
 	// Parallel is the worker budget shared by chunk-level concurrency and
 	// codec-internal kernels, mirroring Options.Parallel on the compression
@@ -320,19 +320,9 @@ type DecompressOpts struct {
 	Parallel parallel.Config
 }
 
-// Decompress reverses Compress and CompressChunked with default options.
-// Archives are fully self-describing; the container magic selects the
-// format. Failures wrap compress.ErrTruncated / compress.ErrCorrupt.
-func Decompress(archive []byte) (*grid.Field, error) {
-	return DecompressWithOpts(archive, DecompressOpts{})
-}
-
-// DecompressCtx is Decompress with trace propagation.
-func DecompressCtx(ctx context.Context, archive []byte) (*grid.Field, error) {
-	return DecompressWithOptsCtx(ctx, archive, DecompressOpts{})
-}
-
-// DecompressWithOpts is Decompress with an explicit worker budget.
+// DecompressWithOpts reverses Compress and CompressChunked. Archives are
+// fully self-describing; the container magic selects the format. Failures
+// wrap compress.ErrTruncated / compress.ErrCorrupt.
 func DecompressWithOpts(archive []byte, opts DecompressOpts) (*grid.Field, error) {
 	return DecompressWithOptsCtx(context.Background(), archive, opts)
 }
@@ -378,7 +368,7 @@ func decompressSingle(ctx context.Context, archive []byte, workers int) (*grid.F
 	if r.err != nil {
 		return nil, fmt.Errorf("core: corrupt archive: %w", r.err)
 	}
-	dataDecode, err := decoderFor(dataCodecName, workers)
+	dataDecode, err := compress.DecoderCtxForWorkers(dataCodecName, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -451,7 +441,7 @@ func decompressSingle(ctx context.Context, archive []byte, workers int) (*grid.F
 		if err != nil {
 			return nil, fmt.Errorf("core: reconstruct: %w", compress.Classify(err))
 		}
-		deltaDecode, err := decoderFor(deltaCodecName, workers)
+		deltaDecode, err := compress.DecoderCtxForWorkers(deltaCodecName, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -57,7 +57,7 @@ func TestPipelineRoundTripAllModelsAllCodecs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", cc.data.Name(), modelName(m), err)
 			}
-			dec, err := Decompress(res.Archive)
+			dec, err := DecompressWithOpts(res.Archive, DecompressOpts{})
 			if err != nil {
 				t.Fatalf("%s/%s: decompress: %v", cc.data.Name(), modelName(m), err)
 			}
@@ -82,7 +82,7 @@ func TestLosslessCodecsExactThroughPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", modelName(m), err)
 		}
-		dec, err := Decompress(res.Archive)
+		dec, err := DecompressWithOpts(res.Archive, DecompressOpts{})
 		if err != nil {
 			t.Fatalf("%s: %v", modelName(m), err)
 		}
@@ -160,7 +160,7 @@ func TestDecompressGarbage(t *testing.T) {
 		[]byte("LRM1\x01\x03zfp\x03pca\x09"),
 	}
 	for i, b := range cases {
-		if _, err := Decompress(b); err == nil {
+		if _, err := DecompressWithOpts(b, DecompressOpts{}); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}
@@ -171,7 +171,7 @@ func TestDecompressGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(res.Archive); cut += 7 {
-		if _, err := Decompress(res.Archive[:cut]); err == nil {
+		if _, err := DecompressWithOpts(res.Archive[:cut], DecompressOpts{}); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -186,7 +186,7 @@ func TestUnknownCodecFamilyInArchive(t *testing.T) {
 	bad := append([]byte(nil), res.Archive...)
 	// The codec name "zfp" starts after magic+mode+len: flip it.
 	bad[6], bad[7], bad[8] = 'q', 'q', 'q'
-	if _, err := Decompress(bad); err == nil {
+	if _, err := DecompressWithOpts(bad, DecompressOpts{}); err == nil {
 		t.Fatal("expected unknown-codec error")
 	}
 }
@@ -250,7 +250,7 @@ func TestSzPipelineRespectsLooseDeltaBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decompress(res.Archive)
+	dec, err := DecompressWithOpts(res.Archive, DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestEmptyRepValuesPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decompress(res.Archive)
+	dec, err := DecompressWithOpts(res.Archive, DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

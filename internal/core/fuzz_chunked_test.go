@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -59,12 +60,12 @@ func FuzzDecompressChunked(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := Decompress(data); err != nil {
+		if _, err := DecompressWithOpts(data, DecompressOpts{}); err != nil {
 			if !errors.Is(err, compress.ErrCorrupt) && !errors.Is(err, compress.ErrTruncated) {
 				t.Fatalf("unclassified strict-decode error: %v", err)
 			}
 		}
-		p, err := DecompressChunkedPartial(data)
+		p, err := DecompressChunkedPartial(context.Background(), data, DecompressOpts{})
 		if err != nil {
 			if !errors.Is(err, compress.ErrCorrupt) && !errors.Is(err, compress.ErrTruncated) {
 				t.Fatalf("unclassified partial-decode error: %v", err)

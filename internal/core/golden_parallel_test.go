@@ -48,11 +48,11 @@ func TestGoldenParallelArchivesByteIdentical(t *testing.T) {
 			}
 
 			// Both decompress paths must agree bit-for-bit too.
-			dec1, err := Decompress(serial.Archive)
+			dec1, err := DecompressWithOpts(serial.Archive, DecompressOpts{})
 			if err != nil {
 				t.Fatalf("%s: decompress: %v", name, err)
 			}
-			dec8, err := Decompress(par.Archive)
+			dec8, err := DecompressWithOpts(par.Archive, DecompressOpts{})
 			if err != nil {
 				t.Fatalf("%s: decompress parallel archive: %v", name, err)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -40,14 +41,14 @@ func TestChunkedDimsBomb(t *testing.T) {
 	}
 	for _, dims := range cases {
 		archive := hostileChunkedArchive(dims)
-		f, err := Decompress(archive)
+		f, err := DecompressWithOpts(archive, DecompressOpts{})
 		if err == nil {
 			t.Fatalf("dims %v: hostile archive accepted (field dims %v)", dims, f.Dims)
 		}
 		if !errors.Is(err, compress.ErrCorrupt) {
 			t.Fatalf("dims %v: error %v does not wrap ErrCorrupt", dims, err)
 		}
-		if _, err := DecompressChunkedPartial(archive); err == nil {
+		if _, err := DecompressChunkedPartial(context.Background(), archive, DecompressOpts{}); err == nil {
 			t.Fatalf("dims %v: hostile archive accepted in degraded mode", dims)
 		}
 	}
@@ -63,18 +64,18 @@ func TestGridCheckDimsOverflow(t *testing.T) {
 }
 
 // ctrCodec is a registry test double: a trivial store-raw codec whose
-// worker-aware decoder records every budget it is handed, so tests can
+// registered decoder records every budget it is handed, so tests can
 // observe how the chunked container divides its pool.
 type ctrCodec struct{}
 
 func (ctrCodec) Name() string   { return "ctr" }
 func (ctrCodec) Lossless() bool { return true }
 
-func (ctrCodec) Compress(f *grid.Field) ([]byte, error) {
+func (ctrCodec) Compress(_ context.Context, f *grid.Field) ([]byte, error) {
 	return append(compress.EncodeDimsHeader(f.Dims), f.Bytes()...), nil
 }
 
-func (ctrCodec) Decompress(b []byte) (*grid.Field, error) { return ctrDecode(b) }
+func (ctrCodec) Decompress(_ context.Context, b []byte) (*grid.Field, error) { return ctrDecode(b) }
 
 func ctrDecode(b []byte) (*grid.Field, error) {
 	dims, rest, err := compress.DecodeDimsHeader(b)
@@ -94,7 +95,7 @@ var ctrSeen struct {
 }
 
 func init() {
-	compress.RegisterWorkersDecoder("ctr", func(b []byte, workers int) (*grid.Field, error) {
+	compress.Register("ctr", func(_ context.Context, b []byte, workers int) (*grid.Field, error) {
 		ctrSeen.mu.Lock()
 		ctrSeen.budgets = append(ctrSeen.budgets, workers)
 		ctrSeen.mu.Unlock()
@@ -205,11 +206,11 @@ func TestDecompressChunkedPartial(t *testing.T) {
 	bad[1] = []byte("not an archive")
 	archive := buildChunkedArchive(t, f.Dims, bad)
 
-	if _, err := Decompress(archive); err == nil {
+	if _, err := DecompressWithOpts(archive, DecompressOpts{}); err == nil {
 		t.Fatal("strict decode accepted a bad chunk")
 	}
 
-	p, err := DecompressChunkedPartial(archive)
+	p, err := DecompressChunkedPartial(context.Background(), archive, DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestDecompressChunkedPartial(t *testing.T) {
 	}
 
 	// A fully intact archive reports Complete.
-	good, err := DecompressChunkedPartial(buildChunkedArchive(t, f.Dims, archives))
+	good, err := DecompressChunkedPartial(context.Background(), buildChunkedArchive(t, f.Dims, archives), DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestDecompressChunkedPartialTruncated(t *testing.T) {
 
 	// Cut inside the last record: framing for chunks 0-1 survives.
 	cut := archive[:len(archive)-3]
-	p, err := DecompressChunkedPartial(cut)
+	p, err := DecompressChunkedPartial(context.Background(), cut, DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,10 +272,10 @@ func TestDecompressChunkedPartialTruncated(t *testing.T) {
 
 	// Trailing garbage is tolerated in degraded mode, an error in strict.
 	trailing := append(append([]byte(nil), archive...), 0xAA, 0xBB)
-	if _, err := Decompress(trailing); err == nil {
+	if _, err := DecompressWithOpts(trailing, DecompressOpts{}); err == nil {
 		t.Fatal("strict decode accepted trailing bytes")
 	}
-	p, err = DecompressChunkedPartial(trailing)
+	p, err = DecompressChunkedPartial(context.Background(), trailing, DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestChunkedRecordReorderDetected(t *testing.T) {
 		writeUvarint(&buf, uint64(chunkCRC(orig, a)))
 		writeBytes(&buf, a)
 	}
-	_, err := Decompress(buf.Bytes())
+	_, err := DecompressWithOpts(buf.Bytes(), DecompressOpts{})
 	if err == nil {
 		t.Fatal("reordered records accepted")
 	}
@@ -327,7 +328,7 @@ func TestChunkedRecordReorderDetected(t *testing.T) {
 		t.Fatalf("reorder error %v does not wrap ErrCorrupt", err)
 	}
 
-	p, err := DecompressChunkedPartial(buf.Bytes())
+	p, err := DecompressChunkedPartial(context.Background(), buf.Bytes(), DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +347,7 @@ func TestChunkedEveryPrefixTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(res.Archive); cut++ {
-		_, err := Decompress(res.Archive[:cut])
+		_, err := DecompressWithOpts(res.Archive[:cut], DecompressOpts{})
 		if err == nil {
 			t.Fatalf("prefix of %d bytes accepted", cut)
 		}

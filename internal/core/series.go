@@ -49,13 +49,10 @@ func (r *SeriesResult) Ratio() float64 {
 // Note that even with a lossless delta codec the series is only
 // near-exact, not bit-exact: (f - prev) + prev re-rounds in floating
 // point. Use per-frame Compress when bit-exactness matters.
-func CompressSeries(snaps []*grid.Field, opts Options) (*SeriesResult, error) {
-	return CompressSeriesCtx(context.Background(), snaps, opts)
-}
-
-// CompressSeriesCtx is CompressSeries with trace propagation: every frame's
-// pipeline spans nest under one core.compress_series root.
-func CompressSeriesCtx(ctx context.Context, snaps []*grid.Field, opts Options) (res *SeriesResult, err error) {
+//
+// Every frame's pipeline spans nest under one core.compress_series root
+// parented onto the span carried by ctx.
+func CompressSeries(ctx context.Context, snaps []*grid.Field, opts Options) (res *SeriesResult, err error) {
 	ctx, sp := trace.Start(ctx, "core.compress_series")
 	defer sp.End()
 	defer func() { sp.SetError(err) }()
@@ -73,7 +70,7 @@ func CompressSeriesCtx(ctx context.Context, snaps []*grid.Field, opts Options) (
 	var buf bytes.Buffer
 	buf.WriteString(seriesMagic)
 	writeUvarint(&buf, uint64(len(snaps)))
-	writeString(&buf, codecBase(deltaCodec.Name()))
+	writeString(&buf, compress.CodecFamily(deltaCodec.Name()))
 
 	res = &SeriesResult{}
 
@@ -87,7 +84,7 @@ func CompressSeriesCtx(ctx context.Context, snaps []*grid.Field, opts Options) (
 	res.OriginalBytes += 8 * snaps[0].Len()
 
 	// The rolling reconstruction the decoder will hold.
-	prev, err := DecompressCtx(ctx, first.Archive)
+	prev, err := DecompressWithOptsCtx(ctx, first.Archive, DecompressOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("core: series frame 0 verify: %w", err)
 	}
@@ -99,7 +96,7 @@ func CompressSeriesCtx(ctx context.Context, snaps []*grid.Field, opts Options) (
 		if err != nil {
 			return nil, fmt.Errorf("core: series frame %d: %w", i, err)
 		}
-		stream, err := compress.CompressCtx(ctx, deltaCodec, delta)
+		stream, err := deltaCodec.Compress(ctx, delta)
 		if err != nil {
 			return nil, fmt.Errorf("core: series frame %d: %w", i, err)
 		}
@@ -107,7 +104,7 @@ func CompressSeriesCtx(ctx context.Context, snaps []*grid.Field, opts Options) (
 		res.FrameBytes = append(res.FrameBytes, len(stream))
 
 		// Advance the rolling reconstruction exactly as the decoder will.
-		dhat, err := compress.DecompressCtx(ctx, deltaCodec, stream)
+		dhat, err := deltaCodec.Decompress(ctx, stream)
 		if err != nil {
 			return nil, fmt.Errorf("core: series frame %d verify: %w", i, err)
 		}
@@ -123,12 +120,7 @@ func CompressSeriesCtx(ctx context.Context, snaps []*grid.Field, opts Options) (
 
 // DecompressSeries reverses CompressSeries, returning every frame.
 // Failures wrap compress.ErrTruncated / compress.ErrCorrupt.
-func DecompressSeries(archive []byte) ([]*grid.Field, error) {
-	return DecompressSeriesCtx(context.Background(), archive)
-}
-
-// DecompressSeriesCtx is DecompressSeries with trace propagation.
-func DecompressSeriesCtx(ctx context.Context, archive []byte) ([]*grid.Field, error) {
+func DecompressSeries(ctx context.Context, archive []byte) ([]*grid.Field, error) {
 	ctx, sp := trace.Start(ctx, "core.decompress_series")
 	defer sp.End()
 	frames, err := decompressSeries(ctx, archive)
@@ -163,7 +155,7 @@ func decompressSeries(ctx context.Context, archive []byte) ([]*grid.Field, error
 		return nil, err
 	}
 	workers := parallel.Config{}.Resolve()
-	deltaDecode, err := decoderFor(deltaCodecName, workers)
+	deltaDecode, err := compress.DecoderCtxForWorkers(deltaCodecName, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -75,7 +75,7 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("fig11 %s/%s/p=%d: %w", p.Name, method.Label, prec, err)
 				}
-				dec, err := core.Decompress(res.Archive)
+				dec, err := core.DecompressWithOpts(res.Archive, core.DecompressOpts{})
 				if err != nil {
 					return nil, fmt.Errorf("fig11 %s/%s/p=%d decompress: %w", p.Name, method.Label, prec, err)
 				}

@@ -65,7 +65,7 @@ func runDimredSweep(cfg Config) (*DimredSweep, error) {
 				compressSec := time.Since(start).Seconds()
 
 				start = time.Now()
-				dec, err := core.Decompress(res.Archive)
+				dec, err := core.DecompressWithOpts(res.Archive, core.DecompressOpts{})
 				if err != nil {
 					return nil, fmt.Errorf("dimred %s/%s/%s decompress: %w", p.Name, family, method.Label, err)
 				}

@@ -1,6 +1,7 @@
 package faultinject_test
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -35,9 +36,9 @@ func buildCorpus(t *testing.T) map[string][]byte {
 	f := corpusField()
 	out := map[string][]byte{}
 	codec := func(name string, c interface {
-		Compress(*grid.Field) ([]byte, error)
+		Compress(context.Context, *grid.Field) ([]byte, error)
 	}) {
-		enc, err := c.Compress(f)
+		enc, err := c.Compress(context.Background(), f)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -90,7 +91,7 @@ func buildCorpus(t *testing.T) map[string][]byte {
 		frames[1].Data[i] += 0.01
 		frames[2].Data[i] += 0.02
 	}
-	series, err := core.CompressSeries(frames, core.Options{DataCodec: zfp.MustNew(12)})
+	series, err := core.CompressSeries(context.Background(), frames, core.Options{DataCodec: zfp.MustNew(12)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package faultinject_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,13 +38,13 @@ func decoderForCorpus(t *testing.T, name string) faultinject.DecodeFunc {
 	switch {
 	case strings.HasPrefix(name, "sz-"):
 		c := sz.MustNew(sz.Abs, 1e-4).WithWorkers(1)
-		return func(b []byte) error { _, err := c.Decompress(b); return err }
+		return func(b []byte) error { _, err := c.Decompress(context.Background(), b); return err }
 	case strings.HasPrefix(name, "zfp-"):
 		c := zfp.MustNew(16).WithWorkers(1)
-		return func(b []byte) error { _, err := c.Decompress(b); return err }
+		return func(b []byte) error { _, err := c.Decompress(context.Background(), b); return err }
 	case strings.HasPrefix(name, "fpc"):
 		c := fpc.MustNew(16)
-		return func(b []byte) error { _, err := c.Decompress(b); return err }
+		return func(b []byte) error { _, err := c.Decompress(context.Background(), b); return err }
 	case strings.HasPrefix(name, "huffman"):
 		return func(b []byte) error { _, err := huffman.Decode(b); return err }
 	case strings.HasPrefix(name, "lrmc"):
@@ -51,7 +52,7 @@ func decoderForCorpus(t *testing.T, name string) faultinject.DecodeFunc {
 		// partial path must uphold the same no-panic/no-bomb contract.
 		return func(b []byte) error {
 			_, strictErr := core.DecompressWithOpts(b, serial)
-			p, partialErr := core.DecompressChunkedPartialWithOpts(b, serial)
+			p, partialErr := core.DecompressChunkedPartial(context.Background(), b, serial)
 			if partialErr != nil {
 				return partialErr
 			}
@@ -66,7 +67,7 @@ func decoderForCorpus(t *testing.T, name string) faultinject.DecodeFunc {
 			return strictErr
 		}
 	case strings.HasPrefix(name, "lrms"):
-		return func(b []byte) error { _, err := core.DecompressSeries(b); return err }
+		return func(b []byte) error { _, err := core.DecompressSeries(context.Background(), b); return err }
 	case strings.HasPrefix(name, "lrm1"):
 		return func(b []byte) error { _, err := core.DecompressWithOpts(b, serial); return err }
 	default:

@@ -14,15 +14,15 @@ import (
 //
 //   - a call to context.Background() or context.TODO() — below the entry
 //     layer the surrounding ctx must be passed, not replaced. Entry-layer
-//     wrappers (`func Decompress(b) { return DecompressCtx(context.
-//     Background(), b) }`) have no ctx parameter and are untouched;
+//     wrappers (`func Compress(f, o) { return CompressCtx(context.
+//     Background(), f, o) }`) have no ctx parameter and are untouched;
 //
 //   - a call to a function or method whose Ctx variant exists — resolved
 //     type-aware: a package-level `F` with a package-level `FCtx` taking a
 //     leading context, or a method `m.F` whose receiver type also has
 //     `FCtx`. Interface values without a Ctx method in their method set are
-//     not flagged; the `if cc, ok := c.(CtxCodec)` assertion-with-fallback
-//     idiom is the sanctioned way to call through such values.
+//     not flagged. compress.Codec needs no such care: its Compress and
+//     Decompress take the ctx themselves.
 //
 // Closures without their own ctx parameter inherit the enclosing scope's
 // obligation (they capture the ctx); closures with one are their own scope.

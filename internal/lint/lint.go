@@ -8,7 +8,7 @@
 //   - mutexcopy:  by-value copies of types containing sync.Mutex/WaitGroup
 //   - goroutine:  goroutines launched with no completion/escape mechanism
 //   - deadassign: `_ = expr` blank assignments masking dead computation
-//   - obsspan:    obs.Start/StartChild spans without End() on every return path
+//   - obsspan:    trace.Start spans without End() on every return path
 //   - hotalloc:   make() allocations inside hot-path kernels (the canonical
 //     list in hotalloc.go plus //lrm:hotpath-marked functions) that should
 //     draw scratch from the internal/parallel arenas instead

@@ -1,24 +1,25 @@
 // Package obs is the repository's zero-dependency observability core: a
 // metrics registry (atomic counters, gauges, and fixed-bucket histograms
-// with Snapshot/Reset), lightweight span tracing for pipeline stages
-// (span.go), and text exposition in Prometheus and expvar-compatible JSON
-// formats (expo.go, http.go). Only the standard library is used.
+// with Snapshot/Reset), the per-stage metric bundles pipeline stages report
+// into (stage.go), and text exposition in Prometheus and expvar-compatible
+// JSON formats (expo.go, http.go). Only the standard library is used.
+// Stage spans live in the trace subpackage, whose End feeds these bundles.
 //
 // # The no-op fast path
 //
 // Observability is off by default. Every instrumentation entry point is
 // gated on a single atomic load:
 //
-//	sp := obs.Start("sz.quantize") // one atomic load, returns nil when off
-//	defer sp.End()                 // nil receiver: no-op
+//	ctx, sp := trace.Start(ctx, "sz.compress") // one atomic load, nil span when off
+//	defer sp.End()                             // nil receiver: no-op
 //
 // Span methods are nil-receiver-safe, so instrumented code pays exactly one
-// atomic bool load per Start call (and per obs.Enabled() guard) when
+// atomic load per trace.Start call (and per obs.Enabled() guard) when
 // observability is disabled — no allocation, no time.Now, no registry
 // traffic. Hot loops must hoist the guard: instrument at stage granularity
 // (one span around a kernel), or snapshot Enabled() into a local once per
-// shard and accumulate into plain locals, flushing to counters at the end.
-// The overhead guard test (overhead_test.go) pins the disabled cost of the
+// shard and accumulate into plain locals, flushing once via StageAdd. The
+// overhead guard test (overhead_test.go) pins the disabled cost of the
 // instrumented compression paths below 2% of stage runtime.
 //
 // # Registry model

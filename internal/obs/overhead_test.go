@@ -8,6 +8,7 @@
 package obs_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -17,10 +18,11 @@ import (
 	"lrm/internal/grid"
 	"lrm/internal/obs"
 	"lrm/internal/obs/quality"
+	"lrm/internal/obs/trace"
 )
 
 // sink defeats dead-code elimination of the measured loops.
-var sink *obs.Span
+var sink *trace.Span
 
 // overheadField is large enough that a serial compress takes well over the
 // timer granularity but small enough to keep the test fast.
@@ -33,14 +35,16 @@ func overheadField() *grid.Field {
 }
 
 // disabledLifecycleNs measures one full disabled span lifecycle — the exact
-// call shape the sz stage spans use: root Start, a child with byte and item
-// attribution, both ended — plus an Enabled() guard.
+// call shape the sz stage spans use: a root trace.Start, a child started
+// from its ctx with byte and item attribution, both ended — plus an
+// Enabled() guard.
 func disabledLifecycleNs() float64 {
 	const iters = 200_000
+	ctx := context.Background()
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		sp := obs.Start("overhead.probe")
-		cs := sp.StartChild("overhead.probe.child")
+		sctx, sp := trace.Start(ctx, "overhead.probe")
+		_, cs := trace.Start(sctx, "overhead.probe.child")
 		cs.SetBytes(1, 2)
 		cs.AddItems(3)
 		cs.End()
@@ -78,8 +82,11 @@ func stageNs(runs int, fn func()) float64 {
 }
 
 func TestDisabledOverheadBelowTwoPercent(t *testing.T) {
-	prev := obs.SetEnabled(false)
-	defer obs.SetEnabled(prev)
+	prev, prevTracing := obs.SetEnabled(false), trace.SetEnabled(false)
+	defer func() {
+		obs.SetEnabled(prev)
+		trace.SetEnabled(prevTracing)
+	}()
 
 	lifecycleNs := disabledLifecycleNs()
 	qualityNs := disabledQualityNs()
@@ -104,13 +111,13 @@ func TestDisabledOverheadBelowTwoPercent(t *testing.T) {
 	}{
 		{"sz.compress", func() {
 			c := sz.MustNew(sz.Abs, 1e-4).WithWorkers(1)
-			if _, err := c.Compress(f); err != nil {
+			if _, err := c.Compress(context.Background(), f); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"zfp.compress", func() {
 			c := zfp.MustNew(16).WithWorkers(1)
-			if _, err := c.Compress(f); err != nil {
+			if _, err := c.Compress(context.Background(), f); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -126,40 +133,5 @@ func TestDisabledOverheadBelowTwoPercent(t *testing.T) {
 			t.Errorf("%s: disabled instrumentation overhead %.2f%% exceeds the 2%% budget (lifecycle %.1f ns, quality probe %.1f ns, stage %.0f ns)",
 				tc.name, 100*ratio, lifecycleNs, qualityNs, stage)
 		}
-	}
-}
-
-// BenchmarkDisabledSpanLifecycle reports the raw disabled lifecycle cost —
-// the number the package doc's "one atomic load" claim cashes out to.
-func BenchmarkDisabledSpanLifecycle(b *testing.B) {
-	prev := obs.SetEnabled(false)
-	defer obs.SetEnabled(prev)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sp := obs.Start("overhead.bench")
-		cs := sp.StartChild("overhead.bench.child")
-		cs.SetBytes(1, 2)
-		cs.End()
-		sp.End()
-		sink = sp
-	}
-}
-
-// BenchmarkEnabledSpanLifecycle is the enabled-mode counterpart, for
-// judging the cost of turning -stats on.
-func BenchmarkEnabledSpanLifecycle(b *testing.B) {
-	prev := obs.SetEnabled(true)
-	defer func() {
-		obs.SetEnabled(prev)
-		obs.Reset()
-	}()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sp := obs.Start("overhead.bench")
-		cs := sp.StartChild("overhead.bench.child")
-		cs.SetBytes(1, 2)
-		cs.End()
-		sp.End()
-		sink = sp
 	}
 }

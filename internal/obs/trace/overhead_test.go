@@ -61,7 +61,7 @@ func TestTraceDisabledOverheadBelowTwoPercent(t *testing.T) {
 	f := overheadField()
 	codec := zfp.MustNew(16).WithWorkers(1)
 	compress := func() {
-		if _, err := codec.Compress(f); err != nil {
+		if _, err := codec.Compress(context.Background(), f); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,23 +6,18 @@
 // error — exportable as Chrome trace_event JSON (WriteChromeTrace,
 // Perfetto-loadable) or browsable at /debug/traces next to /metrics.
 //
-// # Relationship to plain obs spans
+// # Relationship to the obs stage metrics
 //
-// A trace span is a superset of an obs.Span: End feeds the same
+// A trace span is the repository's one span type. End feeds the
 // stage.<name>.{ns,ns_total,calls,bytes_in,bytes_out,items} metric bundle
-// whenever metrics are enabled, and additionally stamps the latency
-// histogram's bucket with the span's trace ID as an exemplar, so a fat
-// bucket in /metrics links to a concrete retained trace. Instrumented code
-// migrates from
-//
-//	sp := obs.Start("core.compress")   // metrics only
-//
-// to
+// (obs.StageObserve) whenever metrics are enabled, and additionally stamps
+// the latency histogram's bucket with the span's trace ID as an exemplar,
+// so a fat bucket in /metrics links to a concrete retained trace:
 //
 //	ctx, sp := trace.Start(ctx, "core.compress") // metrics + causal tree
 //	defer sp.End()
 //
-// and child stages started from ctx attach under the parent automatically,
+// Child stages started from ctx attach under the parent automatically,
 // including across the worker pool (parallel.ForCtx hands the submitting
 // goroutine's ctx to every task, so chunk shards nest under their chunk
 // span rather than orphaning).
@@ -155,8 +150,8 @@ func NewContext(ctx context.Context, sp *Span) context.Context {
 // parents onto the span in ctx (a fresh trace is opened when there is
 // none) and the returned context carries the new span, so nested stages —
 // including tasks submitted to the worker pool with the returned ctx —
-// attach under it. When only metrics are enabled the span records the
-// stage bundle exactly like obs.Start. When both switches are off Start is
+// attach under it. When only metrics are enabled the span records only
+// the stage bundle. When both switches are off Start is
 // one atomic load and returns (ctx, nil) untouched.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
 	st := obs.State()

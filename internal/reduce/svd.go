@@ -50,9 +50,6 @@ func init() { register("svd", reconstructSVD) }
 
 // Reduce implements Model.
 func (s SVD) Reduce(f *grid.Field) (*Rep, error) {
-	sp := obs.Start("reduce.svd.fit")
-	defer sp.End()
-	sp.AddItems(int64(f.Len()))
 	if err := checkFinite(f); err != nil {
 		return nil, err
 	}

@@ -237,7 +237,7 @@ func (s *Server) decompress(ctx context.Context, w http.ResponseWriter, r *http.
 	var chunkErrs []core.ChunkError
 	var chunks int
 	if partial {
-		p, err := core.DecompressChunkedPartialWithOptsCtx(ctx, archive, opts)
+		p, err := core.DecompressChunkedPartial(ctx, archive, opts)
 		if err != nil {
 			return pipelineError(r, s.epDecompress, err)
 		}

@@ -15,7 +15,8 @@
 //     and the API answer 503), stops accepting, lets in-flight requests
 //     finish, then closes;
 //   - cancellation: every request's context threads into
-//     CompressChunkedCtx / DecompressChunkedPartialWithOptsCtx, so a
+//     CompressChunkedCtx, DecompressWithOptsCtx and
+//     DecompressChunkedPartial, so a
 //     client disconnect or deadline stops chunk processing at the next
 //     chunk boundary instead of burning CPU on an abandoned request.
 //

@@ -26,6 +26,9 @@ fmtcheck() {
 step go build ./...
 step go build -tags invariants ./...
 step go vet ./...
+# perfbench is its own module (never compiled by ./...) that calls core and
+# compress by name; vet it so an API change that breaks it fails here.
+step go -C perfbench vet ./...
 echo "==> gofmt -l ."
 fmtcheck
 step go run ./cmd/lrmlint ./...
