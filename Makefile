@@ -34,7 +34,7 @@ faultsweep:
 
 # Concurrent packages under the race detector.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/parallel/... ./internal/mpi/... ./internal/core/... ./internal/sim/laplace/... ./internal/sim/heat3d/... ./internal/compress/... ./internal/huffman/... ./internal/faultinject/... ./internal/linalg/... ./internal/serve/... ./cmd/lrmserve/...
+	$(GO) test -race ./internal/obs/... ./internal/parallel/... ./internal/mpi/... ./internal/core/... ./internal/sim/laplace/... ./internal/sim/heat3d/... ./internal/compress/... ./internal/huffman/... ./internal/faultinject/... ./internal/linalg/... ./internal/reduce/... ./internal/serve/... ./cmd/lrmserve/...
 
 # Trace recorder race-stress in isolation: concurrent Start/End against
 # Snapshot/export/Reset, repeated so interleavings vary.

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 )
@@ -12,6 +13,13 @@ import (
 //
 // Jacobi is quadratically convergent and unconditionally stable for
 // symmetric input, which is exactly the covariance-matrix case PCA needs.
+//
+// The eigenvector accumulator is held transposed, so each rotation of it
+// walks two contiguous rows. An off-diagonal entry is zeroed instead of
+// rotated when it is roundoff relative to its diagonal pair or when
+// |a_pq| ≤ 1e-14·‖A‖_F/n: fewer than n² entries that small stay below the
+// 1e-14·‖A‖_F off-norm stop together. Running out of sweeps returns an
+// error wrapping ErrNoConvergence.
 func EigenSym(a *Matrix) (eigenvalues []float64, eigenvectors *Matrix, err error) {
 	if a.Rows != a.Cols {
 		return nil, nil, errors.New("linalg: EigenSym requires a square matrix")
@@ -29,10 +37,11 @@ func EigenSym(a *Matrix) (eigenvalues []float64, eigenvectors *Matrix, err error
 	}
 
 	w := a.Clone()
-	v := Identity(n)
+	vt := Identity(n) // row k holds eigenvector column k
+	negligible := 1e-14 * scale / float64(n)
 
 	const maxSweeps = 100
-	for sweep := 0; sweep < maxSweeps; sweep++ {
+	for sweep := 0; ; sweep++ {
 		off := 0.0
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -41,6 +50,9 @@ func EigenSym(a *Matrix) (eigenvalues []float64, eigenvectors *Matrix, err error
 		}
 		if math.Sqrt(2*off) <= 1e-14*(scale+1e-300) {
 			break
+		}
+		if sweep == maxSweeps {
+			return nil, nil, fmt.Errorf("linalg: EigenSym of %dx%d: %d sweeps: %w", n, n, maxSweeps, ErrNoConvergence)
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
@@ -51,7 +63,7 @@ func EigenSym(a *Matrix) (eigenvalues []float64, eigenvectors *Matrix, err error
 				app := w.At(p, p)
 				aqq := w.At(q, q)
 				// Skip rotations that are pure roundoff.
-				if math.Abs(apq) <= 1e-18*(math.Abs(app)+math.Abs(aqq)+1e-300) {
+				if math.Abs(apq) <= 1e-18*(math.Abs(app)+math.Abs(aqq)+1e-300) || math.Abs(apq) <= negligible {
 					w.Set(p, q, 0)
 					w.Set(q, p, 0)
 					continue
@@ -67,24 +79,24 @@ func EigenSym(a *Matrix) (eigenvalues []float64, eigenvectors *Matrix, err error
 				s := t * c
 
 				// Apply rotation G(p,q,theta) on both sides of w and
-				// accumulate into v.
+				// accumulate into the transposed eigenvectors.
 				for k := 0; k < n; k++ {
 					wkp := w.At(k, p)
 					wkq := w.At(k, q)
 					w.Set(k, p, c*wkp-s*wkq)
 					w.Set(k, q, s*wkp+c*wkq)
 				}
-				for k := 0; k < n; k++ {
-					wpk := w.At(p, k)
-					wqk := w.At(q, k)
-					w.Set(p, k, c*wpk-s*wqk)
-					w.Set(q, k, s*wpk+c*wqk)
+				wp := w.Data[p*n : (p+1)*n]
+				wq := w.Data[q*n : (q+1)*n]
+				for k, x := range wp {
+					y := wq[k]
+					wp[k], wq[k] = c*x-s*y, s*x+c*y
 				}
-				for k := 0; k < n; k++ {
-					vkp := v.At(k, p)
-					vkq := v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
+				vp := vt.Data[p*n : (p+1)*n]
+				vq := vt.Data[q*n : (q+1)*n]
+				for k, x := range vp {
+					y := vq[k]
+					vp[k], vq[k] = c*x-s*y, s*x+c*y
 				}
 			}
 		}
@@ -105,8 +117,8 @@ func EigenSym(a *Matrix) (eigenvalues []float64, eigenvectors *Matrix, err error
 	eigenvectors = NewMatrix(n, n)
 	for newIdx, p := range pairs {
 		eigenvalues[newIdx] = p.val
-		for k := 0; k < n; k++ {
-			eigenvectors.Set(k, newIdx, v.At(k, p.idx))
+		for k, x := range vt.Data[p.idx*n : (p.idx+1)*n] {
+			eigenvectors.Set(k, newIdx, x)
 		}
 	}
 	return eigenvalues, eigenvectors, nil

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 )
@@ -15,11 +16,25 @@ type SVDResult struct {
 	V *Matrix
 }
 
+// ErrNoConvergence reports that a Jacobi solver (SVD or EigenSym) used its
+// whole sweep budget without converging. Its partial result is not returned:
+// the factors would not meet the solver's accuracy contract.
+var ErrNoConvergence = errors.New("linalg: Jacobi iteration did not converge")
+
 // SVD computes a thin singular value decomposition of a using the one-sided
 // Jacobi method (Hestenes): columns of a working copy of A are repeatedly
 // orthogonalised by plane rotations; at convergence the column norms are the
 // singular values, the normalised columns are U, and the accumulated
 // rotations give V.
+//
+// The working copy and V are held column-major so every dot product and
+// rotation walks contiguous memory, and each column's squared norm is cached:
+// a rotation re-accumulates it over the new values in index order, which is
+// exactly the sum a fresh dot product would give. A pair is left alone when
+// either column's squared norm is at or below (1e-15·‖A‖_F)²: that column is
+// roundoff relative to the whole matrix, and rotating it only stirs noise.
+// A sweep with no rotation is convergence; running out of sweeps returns an
+// error wrapping ErrNoConvergence.
 //
 // For m < n the decomposition of Aᵀ is computed and the factors swapped.
 func SVD(a *Matrix) (*SVDResult, error) {
@@ -35,31 +50,35 @@ func SVD(a *Matrix) (*SVDResult, error) {
 	}
 
 	m, n := a.Rows, a.Cols
-	w := a.Clone()
-	v := Identity(n)
-
-	// Column-major access helpers over the row-major store.
-	colDot := func(p, q int) float64 {
-		s := 0.0
-		for i := 0; i < m; i++ {
-			s += w.Data[i*n+p] * w.Data[i*n+q]
-		}
-		return s
+	// Column-major: column j of the working copy is w[j*m:(j+1)*m], column
+	// j of V is v[j*n:(j+1)*n]; norm[j] is the squared norm of w's column j.
+	w := a.T().Data
+	v := Identity(n).Data
+	norm := make([]float64, n)
+	for j := range norm {
+		norm[j] = dot(w[j*m:(j+1)*m], w[j*m:(j+1)*m])
 	}
 
 	scale := a.FrobeniusNorm()
+	negligible := (1e-15 * scale) * (1e-15 * scale)
 	const maxSweeps = 60
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		rotated := false
+	converged := false
+	for sweep := 0; sweep < maxSweeps && !converged; sweep++ {
+		converged = true
 		for p := 0; p < n-1; p++ {
+			wp := w[p*m : (p+1)*m]
+			vp := v[p*n : (p+1)*n]
 			for q := p + 1; q < n; q++ {
-				alpha := colDot(p, p)
-				beta := colDot(q, q)
-				gamma := colDot(p, q)
+				alpha, beta := norm[p], norm[q]
+				if min(alpha, beta) <= negligible {
+					continue
+				}
+				wq := w[q*m : (q+1)*m]
+				gamma := dot(wp, wq)
 				if math.Abs(gamma) <= 1e-15*math.Sqrt(alpha*beta)+1e-300 {
 					continue
 				}
-				rotated = true
+				converged = false
 				zeta := (beta - alpha) / (2 * gamma)
 				var t float64
 				if zeta >= 0 {
@@ -69,29 +88,31 @@ func SVD(a *Matrix) (*SVDResult, error) {
 				}
 				c := 1 / math.Sqrt(1+t*t)
 				s := t * c
-				for i := 0; i < m; i++ {
-					wp := w.Data[i*n+p]
-					wq := w.Data[i*n+q]
-					w.Data[i*n+p] = c*wp - s*wq
-					w.Data[i*n+q] = s*wp + c*wq
+				np, nq := 0.0, 0.0
+				for i, x := range wp {
+					y := wq[i]
+					x, y = c*x-s*y, s*x+c*y
+					wp[i], wq[i] = x, y
+					np += x * x
+					nq += y * y
 				}
-				for i := 0; i < n; i++ {
-					vp := v.Data[i*n+p]
-					vq := v.Data[i*n+q]
-					v.Data[i*n+p] = c*vp - s*vq
-					v.Data[i*n+q] = s*vp + c*vq
+				norm[p], norm[q] = np, nq
+				vq := v[q*n : (q+1)*n]
+				for i, x := range vp {
+					y := vq[i]
+					vp[i], vq[i] = c*x-s*y, s*x+c*y
 				}
 			}
 		}
-		if !rotated {
-			break
-		}
+	}
+	if !converged {
+		return nil, fmt.Errorf("linalg: SVD of %dx%d: %d sweeps: %w", m, n, maxSweeps, ErrNoConvergence)
 	}
 
 	// Extract singular values and left vectors.
 	sv := make([]float64, n)
-	for j := 0; j < n; j++ {
-		sv[j] = math.Sqrt(colDot(j, j))
+	for j := range sv {
+		sv[j] = math.Sqrt(norm[j])
 	}
 
 	order := make([]int, n)
@@ -107,15 +128,24 @@ func SVD(a *Matrix) (*SVDResult, error) {
 		sOut[newJ] = sv[oldJ]
 		if sv[oldJ] > 1e-300*(scale+1) && sv[oldJ] > 0 {
 			inv := 1 / sv[oldJ]
-			for i := 0; i < m; i++ {
-				u.Data[i*n+newJ] = w.Data[i*n+oldJ] * inv
+			for i, x := range w[oldJ*m : (oldJ+1)*m] {
+				u.Data[i*n+newJ] = x * inv
 			}
 		}
-		for i := 0; i < n; i++ {
-			vOut.Data[i*n+newJ] = v.Data[i*n+oldJ]
+		for i, x := range v[oldJ*n : (oldJ+1)*n] {
+			vOut.Data[i*n+newJ] = x
 		}
 	}
 	return &SVDResult{U: u, S: sOut, V: vOut}, nil
+}
+
+// dot is the index-ordered inner product of two equal-length vectors.
+func dot(x, y []float64) float64 {
+	s := 0.0
+	for i, xi := range x {
+		s += xi * y[i]
+	}
+	return s
 }
 
 // Truncate returns the rank-k factors (U m×k, S k, V n×k) of r.

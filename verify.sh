@@ -46,7 +46,7 @@ step go run ./cmd/lrmbench -compare -tolerance 0.25 BENCH_5.json BENCH_7.json
 
 if [ "${1:-}" != "quick" ]; then
 	# Concurrent packages under the race detector.
-	step go test -race ./internal/obs/... ./internal/parallel/... ./internal/mpi/... ./internal/core/... ./internal/sim/laplace/... ./internal/sim/heat3d/... ./internal/compress/... ./internal/huffman/... ./internal/faultinject/... ./internal/linalg/... ./internal/serve/... ./cmd/lrmserve/...
+	step go test -race ./internal/obs/... ./internal/parallel/... ./internal/mpi/... ./internal/core/... ./internal/sim/laplace/... ./internal/sim/heat3d/... ./internal/compress/... ./internal/huffman/... ./internal/faultinject/... ./internal/linalg/... ./internal/reduce/... ./internal/serve/... ./cmd/lrmserve/...
 	# Trace race-stress: concurrent Start/End/Snapshot/export/Reset on the
 	# trace recorder specifically, repeated so interleavings vary.
 	step go test -race -run TestConcurrentTraceStress -count=2 ./internal/obs/trace
