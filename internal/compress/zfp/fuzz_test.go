@@ -2,10 +2,10 @@ package zfp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
-	"lrm/internal/bitstream"
 	"lrm/internal/grid"
 )
 
@@ -23,6 +23,18 @@ func FuzzDecompress(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(enc)
+	}
+	// 1-D and 3-D seeds, so every block size starts from a valid stream
+	// in each of the paper's modes.
+	for _, dims := range [][]int{{19}, {5, 6, 7}} {
+		g := goldenSynth(f, dims...)
+		for _, c := range []*Codec{MustNew(8), MustNew(16), MustNewAccuracy(1e-3)} {
+			enc, err := c.Compress(context.Background(), g)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(enc)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := MustNew(16)
@@ -46,27 +58,16 @@ func FuzzDecompress(f *testing.F) {
 		_, _ = c.DecodeAt(data, 0, 0)
 		_, _ = c.DecodeAt(data, 1)
 
-		// Differential check of the plane decoders over the same arbitrary
-		// (valid, truncated, or corrupt) bytes: the batch window decoder and
-		// the per-bit reference must agree on every value, significance
-		// count, and error outcome. The checked-in seeds include truncated
-		// streams, so plain `go test` covers the fault-injection corpus.
-		rFast := bitstream.NewReader(data)
-		rSlow := bitstream.NewReader(data)
-		nf, ns := 0, 0
-		for p := 0; p < 24 && nf < 64; p++ {
-			xf, nf2, errF := decodePlane(rFast, 64, nf)
-			xs, ns2, errS := decodePlaneScalar(rSlow, 64, ns)
-			if (errF == nil) != (errS == nil) {
-				t.Fatalf("plane %d: decoder error mismatch: %v vs %v", p, errF, errS)
+		// Differential check of the block decoder over the same arbitrary
+		// (valid, truncated, or corrupt) bytes, at every block size and in
+		// the paper's modes: the bit-sliced decoder and the per-bit
+		// reference must agree on every coefficient, exponent, position and
+		// error outcome. The checked-in seeds include truncated streams, so
+		// plain `go test` covers the fault-injection corpus.
+		for _, size := range []int{4, 16, 64} {
+			for _, h := range []*Codec{MustNew(8), MustNew(16), MustNewAccuracy(1e-3)} {
+				checkBlockDecode(t, data, size, h, 8, fmt.Sprintf("size=%d %s", size, h.Name()))
 			}
-			if errF != nil {
-				break
-			}
-			if xf != xs || nf2 != ns2 {
-				t.Fatalf("plane %d: (%#x,%d) != reference (%#x,%d)", p, xf, nf2, xs, ns2)
-			}
-			nf, ns = nf2, ns2
 		}
 	})
 }

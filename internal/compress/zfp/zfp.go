@@ -17,6 +17,13 @@
 // blocks produce long zero runs in the high bit planes and cost almost
 // nothing, while noisy blocks pay the full bit budget.
 //
+// Step 3 runs bit-sliced for every block size (4, 16 or 64 values): a
+// butterfly transpose turns the block's coefficient words into plane words
+// in one pass, the encoder codes all planes through one fused accumulator,
+// and the block decoder (decodeBlock) parses header and planes from one
+// local bit window, writes plane words in the encoder's layout and
+// transposes back. Streams are byte-identical to the per-bit coder's.
+//
 // Blocks are mutually independent, which the codec exploits two ways: the
 // encoder shards the block list across a bounded worker pool (each shard
 // writes a private bitstream, concatenated in shard order, so the output
@@ -332,32 +339,50 @@ func transformInverse(blk []int64, rank int) {
 			invLift(blk, 4*y, 1)
 		}
 	case 3:
-		for y := 0; y < 4; y++ {
-			for x := 0; x < 4; x++ {
-				invLift(blk, 4*y+x, 16)
+		// The mirror of transformForward's rank-3 path: the same 48 lifts in
+		// the same pass order, through the value-form unlift4 on a
+		// fixed-size array view so each 4-vector stays in registers.
+		p := (*[64]int64)(blk)
+		for i := 0; i < 16; i++ { // along z
+			p[i], p[i+16], p[i+32], p[i+48] = unlift4(p[i], p[i+16], p[i+32], p[i+48])
+		}
+		for z := 0; z < 64; z += 16 { // along y
+			for i := z; i < z+4; i++ {
+				p[i], p[i+4], p[i+8], p[i+12] = unlift4(p[i], p[i+4], p[i+8], p[i+12])
 			}
 		}
-		for z := 0; z < 4; z++ {
-			for x := 0; x < 4; x++ {
-				invLift(blk, 16*z+x, 4)
-			}
-		}
-		for z := 0; z < 4; z++ {
-			for y := 0; y < 4; y++ {
-				invLift(blk, 16*z+4*y, 1)
-			}
+		for b := 0; b <= 60; b += 4 { // along x
+			p[b], p[b+1], p[b+2], p[b+3] = unlift4(p[b], p[b+1], p[b+2], p[b+3])
 		}
 	}
+}
+
+// unlift4 is invLift in value form, the inverse counterpart of lift4.
+func unlift4(x, y, z, w int64) (int64, int64, int64, int64) {
+	y += w >> 1
+	w -= y >> 1
+	y += w
+	w <<= 1
+	w -= y
+	z += x
+	x <<= 1
+	x -= z
+	y += z
+	z <<= 1
+	z -= y
+	w += x
+	x <<= 1
+	x -= w
+	return x, y, z, w
 }
 
 // transpose64 anti-transposes the 64x64 bit matrix held in m in place:
 // bit j of output word i equals bit 63-i of input word 63-j (the classic
 // Hacker's Delight word-swap network, which transposes under the
 // column-j-is-bit-63-j convention). The operation is an involution. The
-// plane packers below compose it with reversed word indexing to get the
-// plain transpose they need, converting a block's 64 negabinary
-// coefficients into its 64 bit-plane words (and back) in ~6*64 word
-// operations instead of the scalar coder's 64 steps per plane.
+// plane coders use it to convert a block's 64 negabinary coefficients into
+// its 64 bit-plane words (and back) in ~6*64 word operations instead of 64
+// single-bit steps per plane.
 func transpose64(m *[64]uint64) {
 	j := uint(32)
 	mask := uint64(0x00000000FFFFFFFF)
@@ -423,148 +448,96 @@ func transposeTop16(m *[64]uint64) {
 	// only words [0,32) to stage j=16, and j=16 feeds only [0,16) onward,
 	// so the upper-half updates are dead here. With the write-back gone the
 	// xor butterfly a ^= (a^(b>>j))&mask folds to the masked merge
-	// a&^mask | (b>>j)&mask — identical low words, fewer operations.
+	// a&^mask | (b>>j)&mask — identical low words, fewer operations. After
+	// the merges, word i holds the top 16 bits of words i, i+16, i+32 and
+	// i+48 in its four 16-bit lanes; the last four stages are the per-lane
+	// 16x16 anti-transpose.
 	for k := 0; k < 32; k++ { // j=32, lim=64
 		m[k] = m[k]&^0x00000000FFFFFFFF | m[k+32]>>32
 	}
 	for k := 0; k < 16; k++ { // j=16, lim=32
 		m[k] = m[k]&^0x0000FFFF0000FFFF | m[k+16]>>16&0x0000FFFF0000FFFF
 	}
-	for k := 0; k < 8; k++ { // j=8, lim=16
+	transposeLanes16((*[16]uint64)(m[:16]))
+}
+
+// transposeFrom16 is the decoder's mirror of transposeTop16: the full
+// anti-transpose of a matrix whose input words [16, 64) are zero — the
+// shape of a 64-value block with at most 16 coded planes, whose plane words
+// sit in [0, 16). Only words [0, 16) are read and all 64 are written. The
+// per-lane 16x16 anti-transpose runs first; word i then holds, lane by
+// lane from the top, the 16 coded bits of values i, i+16, i+32 and i+48,
+// so one shift and mask per value spreads them to their own words — 32
+// butterflies and 64 spreads in place of the full network's 192
+// butterflies.
+func transposeFrom16(m *[64]uint64) {
+	transposeLanes16((*[16]uint64)(m[:16]))
+	const top = 0xFFFF000000000000
+	for i := 0; i < 16; i++ {
+		v := m[i]
+		m[i] = v & top
+		m[i+16] = v << 16 & top
+		m[i+32] = v << 32 & top
+		m[i+48] = v << 48
+	}
+}
+
+// transposeLanes16 anti-transposes each 16x16 bit sub-block of m: bit b of
+// lane L of output word i equals bit 15-i of lane L of input word 15-b,
+// where lane L is bits [16L, 16L+16). These are the last four stages of the
+// transpose64 network run over 16 words. For a 16-value (2-D) block it maps
+// the coefficients straight to plane words: plane k lands in lane k/16 of
+// word 15-k%16, value i at lane bit 15-i. It is an involution.
+func transposeLanes16(m *[16]uint64) {
+	for k := 0; k < 8; k++ { // j=8
 		t := (m[k] ^ (m[k+8] >> 8)) & 0x00FF00FF00FF00FF
 		m[k] ^= t
 		m[k+8] ^= t << 8
 	}
-	for base := 0; base < 16; base += 8 { // j=4, lim=16
+	for base := 0; base < 16; base += 8 { // j=4
 		for k := base; k < base+4; k++ {
 			t := (m[k] ^ (m[k+4] >> 4)) & 0x0F0F0F0F0F0F0F0F
 			m[k] ^= t
 			m[k+4] ^= t << 4
 		}
 	}
-	for base := 0; base < 16; base += 4 { // j=2, lim=16
+	for base := 0; base < 16; base += 4 { // j=2
 		for k := base; k < base+2; k++ {
 			t := (m[k] ^ (m[k+2] >> 2)) & 0x3333333333333333
 			m[k] ^= t
 			m[k+2] ^= t << 2
 		}
 	}
-	for k := 0; k < 16; k += 2 { // j=1, lim=16
+	for k := 0; k < 16; k += 2 { // j=1
 		t := (m[k] ^ (m[k+1] >> 1)) & 0x5555555555555555
 		m[k] ^= t
 		m[k+1] ^= t << 1
 	}
 }
 
-// encodePlane writes one bit plane x (bit i of x = plane bit of value i)
-// using ZFP's verbatim-prefix + group-tested run-length scheme. n is the
-// count of values already known significant; the updated n is returned.
-//
-// The emitted stream is "test 1, zero run, terminating 1" per significant
-// value, so instead of walking the plane bit by bit the loop jumps from set
-// bit to set bit with TrailingZeros64 and emits each whole group — test
-// bit, run, terminator — as one value through a 64-bit accumulator. A dense
-// plane costs a couple of WriteBits calls; a sparse one costs one per set
-// bit, never one per zero.
-func encodePlane(w *bitstream.Writer, x uint64, size, n int) int {
-	if n > 0 {
-		// Verbatim prefix: the low n bits of x, least significant first.
-		w.WriteBits(bits.Reverse64(x)>>(64-uint(n)), uint(n))
-		x >>= uint(n)
+// transposeLanes4 is transposeLanes16 for 4x4 sub-blocks: the last two
+// transpose64 stages over 4 words. For a 4-value (1-D) block, plane k
+// lands in lane k/4 of word 3-k%4, value i at lane bit 3-i.
+func transposeLanes4(m *[4]uint64) {
+	for k := 0; k < 2; k++ { // j=2
+		t := (m[k] ^ (m[k+2] >> 2)) & 0x3333333333333333
+		m[k] ^= t
+		m[k+2] ^= t << 2
 	}
-	var acc uint64
-	var cnt uint
-	for n < size {
-		if x == 0 {
-			// Group test fails: a single 0 ends the plane.
-			if cnt == 64 {
-				w.WriteBits(acc, 64)
-				acc, cnt = 0, 0
-			}
-			acc <<= 1
-			cnt++
-			break
-		}
-		tz := bits.TrailingZeros64(x)
-		var v uint64
-		var k uint
-		if tz >= size-1-n {
-			// The next set bit sits at the plane's final position: the
-			// terminating 1 is implicit, so the group is the test bit plus
-			// the zero run only.
-			k = uint(size - n)
-			v = 1 << (k - 1)
-			n = size
-		} else {
-			// Test bit, tz zeros, terminating 1 — one batch of tz+2 bits.
-			k = uint(tz) + 2
-			v = 1<<(k-1) | 1
-			x >>= uint(tz + 1)
-			n += tz + 1
-		}
-		if cnt+k > 64 {
-			w.WriteBits(acc, cnt)
-			acc, cnt = 0, 0
-		}
-		acc = acc<<k | v
-		cnt += k
+	for k := 0; k < 4; k += 2 { // j=1
+		t := (m[k] ^ (m[k+1] >> 1)) & 0x5555555555555555
+		m[k] ^= t
+		m[k+1] ^= t << 1
 	}
-	if cnt > 0 {
-		w.WriteBits(acc, cnt)
-	}
-	return n
 }
 
-// decodePlane mirrors encodePlane: one Peek64 window exposes the test bit
-// and the whole zero run at once, so LeadingZeros64 replaces the per-bit
-// read loop. Availability is checked against Remaining before every
-// Advance, which reproduces the per-bit reader's ErrOutOfBits behaviour on
-// truncated streams (window positions past the end read as zero and are
-// never consumed).
-func decodePlane(r *bitstream.Reader, size, n int) (uint64, int, error) {
-	var x uint64
-	if n > 0 {
-		// The verbatim prefix was emitted least-significant-bit first.
-		v, err := r.ReadBits(uint(n))
-		if err != nil {
-			return 0, 0, err
-		}
-		x = bits.Reverse64(v) >> (64 - uint(n))
-	}
-	for n < size {
-		rem := r.Remaining()
-		if rem == 0 {
-			return 0, 0, bitstream.ErrOutOfBits
-		}
-		win := r.Peek64()
-		if win>>63 == 0 {
-			// Group test fails: the plane holds no further set bits.
-			r.Advance(1)
-			break
-		}
-		lim := size - 1 - n
-		z := bits.LeadingZeros64(win << 1) // zeros after the test bit
-		if z >= lim {
-			// The run reaches the final position; its 1 is implicit. The
-			// encoder emitted 1+lim bits, all of which must really exist.
-			if rem < 1+lim {
-				return 0, 0, bitstream.ErrOutOfBits
-			}
-			r.Advance(1 + lim)
-			x |= 1 << uint(size-1)
-			n = size
-		} else {
-			// A genuine 1 inside the window is never padding, so the z+2
-			// consumed bits are guaranteed present; the check is defensive.
-			if rem < z+2 {
-				return 0, 0, bitstream.ErrOutOfBits
-			}
-			r.Advance(z + 2)
-			x |= 1 << uint(n+z)
-			n += z + 1
-		}
-	}
-	return x, n, nil
+// planeSlot locates plane k of a size-value block in the bit-sliced layout
+// shared by the encoder and the decoder: plane k occupies the size-bit lane
+// of word idx that a left shift by sh moves to the top of the word, where
+// value i sits at bit 63-i. For 64-value blocks this is simply word 63-k,
+// unshifted; 4- and 16-value blocks pack 64/size planes per word.
+func planeSlot(k, size int) (idx int, sh uint) {
+	return size - 1 - k&(size-1), uint(64 - size - k&^(size-1))
 }
 
 // Sequency-order permutations: after the decorrelating transform,
@@ -669,13 +642,10 @@ func gather(f *grid.Field, b blockShape, vals []float64) {
 	// Full-block fast path: every row of a complete block is 4 contiguous
 	// samples, so the interior (the vast majority of blocks on non-tiny
 	// fields) copies rows directly with no per-sample clamping.
-	// The 4-sample rows are moved as array assignments rather than copy():
-	// a 32-byte memmove call costs more in call overhead than the move
-	// itself, and these run once per row of every block.
 	if b.size == [3]int{1, 4, 4} && rank == 2 {
 		base := b.origin[1]*nx + b.origin[2]
 		for y := 0; y < 4; y++ {
-			*(*[4]float64)(vals[4*y : 4*y+4]) = *(*[4]float64)(f.Data[base+y*nx : base+y*nx+4])
+			move4(vals[4*y:], f.Data[base+y*nx:])
 		}
 		return
 	}
@@ -684,7 +654,7 @@ func gather(f *grid.Field, b blockShape, vals []float64) {
 		for z := 0; z < 4; z++ {
 			row := base + z*ny*nx
 			for y := 0; y < 4; y++ {
-				*(*[4]float64)(vals[16*z+4*y : 16*z+4*y+4]) = *(*[4]float64)(f.Data[row+y*nx : row+y*nx+4])
+				move4(vals[16*z+4*y:], f.Data[row+y*nx:])
 			}
 		}
 		return
@@ -711,6 +681,15 @@ func gather(f *grid.Field, b blockShape, vals []float64) {
 	}
 }
 
+// move4 copies the first 4 samples of src to dst as four scalar moves. The
+// block rows run this once per row of every block, and both copy() and an
+// array assignment between the two slices compile to a memmove call that
+// costs more than the 32-byte move itself.
+func move4(dst, src []float64) {
+	d, s := dst[:4:4], src[:4:4]
+	d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+}
+
 // scatter writes the valid region of a decoded block back into f.
 func scatter(f *grid.Field, b blockShape, vals []float64) {
 	rank := f.Rank()
@@ -723,12 +702,11 @@ func scatter(f *grid.Field, b blockShape, vals []float64) {
 	default:
 		ny, nx = f.Dims[1], f.Dims[2]
 	}
-	// Full-block fast path mirroring gather's: contiguous 4-sample rows,
-	// moved as array assignments to skip the memmove call overhead.
+	// Full-block fast path mirroring gather's: contiguous 4-sample rows.
 	if b.size == [3]int{1, 4, 4} && rank == 2 {
 		base := b.origin[1]*nx + b.origin[2]
 		for y := 0; y < 4; y++ {
-			*(*[4]float64)(f.Data[base+y*nx : base+y*nx+4]) = *(*[4]float64)(vals[4*y : 4*y+4])
+			move4(f.Data[base+y*nx:], vals[4*y:])
 		}
 		return
 	}
@@ -737,7 +715,7 @@ func scatter(f *grid.Field, b blockShape, vals []float64) {
 		for z := 0; z < 4; z++ {
 			row := base + z*ny*nx
 			for y := 0; y < 4; y++ {
-				*(*[4]float64)(f.Data[row+y*nx : row+y*nx+4]) = *(*[4]float64)(vals[16*z+4*y : 16*z+4*y+4])
+				move4(f.Data[row+y*nx:], vals[16*z+4*y:])
 			}
 		}
 		return
@@ -966,148 +944,246 @@ func (c *Codec) encodeBlocks(f *grid.Field, bs []blockShape, w *bitstream.Writer
 	return nil
 }
 
-// encodePlanes codes planes intprec-1 down to kmin of the negabinary
-// coefficients. Full 64-coefficient blocks take the transpose fast path;
-// smaller blocks extract each plane with the scalar loop.
+// encodePlanes codes planes intprec-1 down to kmin of the size negabinary
+// coefficients in nb, for every block size (4, 16 or 64 values).
 //
-// nb is CONSUMED: the full-block path transposes it in place, so its
-// contents are unspecified after the call. Callers treat it as per-block
-// scratch that is fully rewritten before reuse.
+// nb is CONSUMED: it is bit-sliced in place, so its contents are unspecified
+// after the call. Callers treat it as per-block scratch that is fully
+// rewritten before reuse.
 func encodePlanes(w *bitstream.Writer, nb []uint64, size, kmin int) {
-	n := 0
-	if size == 64 {
-		// Straight copy: the anti-transpose of unreversed words yields each
-		// plane BIT-REVERSED — planes[63-k] bit 63-i == nb[i] bit k. That
-		// orientation is the cheap one for the coder: the verbatim prefix
-		// (low n coefficient bits, LSB first) is exactly the word's top n
-		// bits, and the set-bit scan becomes LeadingZeros64 — no per-plane
-		// bits.Reverse64 anywhere (x86 has no bit-reverse instruction).
-		// Only planes kmin and above are ever read (words [0, intprec-kmin)),
-		// so the butterfly is cut to that output prefix. The transpose runs
-		// destructively in nb's own backing array — nb is per-block scratch
-		// that the caller fully rewrites before the next use, and skipping
-		// the 512-byte staging copy removes a memmove per block.
-		planes := (*[64]uint64)(nb)
-		transposeTop(planes, intprec-kmin)
-		// All planes run through one persistent accumulator: prefixes,
-		// group tests, runs, and terminators append to acc and spill only
-		// at 64-bit boundaries. The Writer sees the exact bit sequence the
-		// per-plane encodePlane calls would produce — only call and flush
-		// granularity changes, so the stream is identical while the per-
-		// plane function call and flush overhead (3 WriteBits per plane)
-		// disappears. Shift counts of 64 are safe throughout: Go defines
-		// over-wide shifts as zero, and every such site has acc == 0 after
-		// the preceding flush.
-		var acc uint64
-		var cnt uint
-		k := intprec - 1
-		// Leading all-zero planes (no value significant yet) each emit a
-		// single failed group test; batch those zero bits in one step.
-		for k >= kmin && planes[63-k] == 0 {
-			k--
-		}
-		if z := uint(intprec - 1 - k); z > 0 {
-			// z <= MaxPrecision zero bits fit the empty accumulator.
-			acc <<= z
-			cnt += z
-		}
-		for ; k >= kmin; k-- {
-			y := planes[63-k] // bit 63-i = plane bit of value i
-			if n > 0 {
-				// Verbatim prefix: the top n bits of y.
-				pn := uint(n)
-				if cnt+pn > 64 {
-					w.WriteBits(acc, cnt)
-					acc, cnt = 0, 0
-				}
-				acc = acc<<pn | y>>(64-pn)
-				cnt += pn
-				y <<= pn
-			}
-			for n < size {
-				if y == 0 {
-					// Group test fails: a single 0 ends the plane.
-					if cnt == 64 {
-						w.WriteBits(acc, 64)
-						acc, cnt = 0, 0
-					}
-					acc <<= 1
-					cnt++
-					break
-				}
-				lz := bits.LeadingZeros64(y)
-				var v uint64
-				var g uint
-				if lz >= size-1-n {
-					// Set bit at the final position: terminator implicit.
-					g = uint(size - n)
-					v = 1 << (g - 1)
-					n = size
-				} else {
-					// Test bit, lz zeros, terminating 1 — one batch.
-					g = uint(lz) + 2
-					v = 1<<(g-1) | 1
-					y <<= uint(lz + 1)
-					n += lz + 1
-				}
-				if cnt+g > 64 {
-					w.WriteBits(acc, cnt)
-					acc, cnt = 0, 0
-				}
-				acc = acc<<g | v
-				cnt += g
-			}
-		}
-		if cnt > 0 {
-			w.WriteBits(acc, cnt)
-		}
-		return
+	// Bit-slice the block in place: afterwards plane k is the lane that
+	// planeSlot names, in the REVERSED orientation — bit 63-i of the
+	// shifted word is value i's plane bit. That orientation is the cheap one
+	// for the coder: the verbatim prefix (low n coefficient bits, LSB first)
+	// is exactly the word's top n bits, and the set-bit scan becomes
+	// LeadingZeros64 — no per-plane bits.Reverse64 anywhere (x86 has no
+	// bit-reverse instruction). Full blocks read only planes kmin and above
+	// (words [0, intprec-kmin)), so their butterfly is cut to that output
+	// prefix; smaller blocks pack several planes per word and need only the
+	// per-lane transpose.
+	switch size {
+	case 4:
+		transposeLanes4((*[4]uint64)(nb))
+	case 16:
+		transposeLanes16((*[16]uint64)(nb))
+	default:
+		transposeTop((*[64]uint64)(nb), intprec-kmin)
 	}
-	for k := intprec - 1; k >= kmin; k-- {
-		var plane uint64
-		for i := 0; i < size; i++ {
-			plane |= (nb[i] >> uint(k) & 1) << uint(i)
+	// All planes run through one persistent accumulator: prefixes, group
+	// tests, runs, and terminators append to acc and spill only at 64-bit
+	// boundaries. The Writer's output depends only on the appended bit
+	// sequence, so call and flush granularity never change the stream.
+	// Shift counts of 64 are safe throughout: Go defines over-wide shifts as
+	// zero, and every such site has acc == 0 after the preceding flush.
+	var acc uint64
+	var cnt uint
+	n := 0
+	k := intprec - 1
+	// Leading all-zero planes (no value significant yet) each emit a
+	// single failed group test; batch those zero bits in one step.
+	for k >= kmin && planeWord(nb, k, size) == 0 {
+		k--
+	}
+	if z := uint(intprec - 1 - k); z > 0 {
+		// z <= MaxPrecision zero bits fit the empty accumulator.
+		acc <<= z
+		cnt += z
+	}
+	for ; k >= kmin; k-- {
+		y := planeWord(nb, k, size) // bit 63-i = plane bit of value i
+		if n > 0 {
+			// Verbatim prefix: the top n bits of y.
+			pn := uint(n)
+			if cnt+pn > 64 {
+				w.WriteBits(acc, cnt)
+				acc, cnt = 0, 0
+			}
+			acc = acc<<pn | y>>(64-pn)
+			cnt += pn
+			y <<= pn
 		}
-		n = encodePlane(w, plane, size, n)
+		for n < size {
+			if y == 0 {
+				// Group test fails: a single 0 ends the plane.
+				if cnt == 64 {
+					w.WriteBits(acc, 64)
+					acc, cnt = 0, 0
+				}
+				acc <<= 1
+				cnt++
+				break
+			}
+			lz := bits.LeadingZeros64(y)
+			var v uint64
+			var g uint
+			if lz >= size-1-n {
+				// Set bit at the final position: terminator implicit.
+				g = uint(size - n)
+				v = 1 << (g - 1)
+				n = size
+			} else {
+				// Test bit, lz zeros, terminating 1 — one batch.
+				g = uint(lz) + 2
+				v = 1<<(g-1) | 1
+				y <<= uint(lz + 1)
+				n += lz + 1
+			}
+			if cnt+g > 64 {
+				w.WriteBits(acc, cnt)
+				acc, cnt = 0, 0
+			}
+			acc = acc<<g | v
+			cnt += g
+		}
+	}
+	if cnt > 0 {
+		w.WriteBits(acc, cnt)
 	}
 }
 
-// decodePlanes reverses encodePlanes into nb (fully overwritten).
-func decodePlanes(r *bitstream.Reader, nb []uint64, size, kmin int) error {
+// planeWord extracts plane k of a bit-sliced size-value block, value i at
+// bit 63-i and every bit past the block's values clear.
+func planeWord(m []uint64, k, size int) uint64 {
+	idx, sh := planeSlot(k, size)
+	return m[idx] << sh & (^uint64(0) << uint(64-size))
+}
+
+// Block-parse failures, one per field of the block layout, so a truncated
+// stream reports the field it ran out in.
+var (
+	errTruncBlock    = fmt.Errorf("zfp: truncated stream: %w", bitstream.ErrOutOfBits)
+	errTruncExponent = fmt.Errorf("zfp: truncated exponent: %w", bitstream.ErrOutOfBits)
+	errTruncPlane    = fmt.Errorf("zfp: truncated plane: %w", bitstream.ErrOutOfBits)
+)
+
+// windowPad is the count of zero bytes that follow the payload in the
+// block decoder's buffer: enough that the 9-byte load behind every window
+// stays in bounds for any position inside the payload.
+const windowPad = 8
+
+// window returns the 64 bits of buf starting at bit pos, most significant
+// first. buf carries windowPad zero bytes past the payload, so positions
+// past the payload read as zero without a separate tail path — which keeps
+// window inlinable into the decode loop. Callers check the remaining
+// payload bits before consuming what they matched.
+func window(buf []byte, pos int) uint64 {
+	i := pos >> 3
+	k := uint(pos & 7)
+	return binary.BigEndian.Uint64(buf[i:])<<k | uint64(buf[i+8])>>(8-k)
+}
+
+// decodeBlock parses one block from buf at bit pos — the non-empty bit, the
+// 15-bit biased exponent and every coded plane — mirroring encodeBlocks and
+// encodePlanes. buf is the payload followed by windowPad zero bytes. It
+// leaves the block's negabinary coefficients in nb (len(nb) is the block
+// size; fully overwritten unless the block is empty) and returns the block
+// exponent, emptyEmax for an all-zero block, and the bit position after
+// the block. h carries the stream's mode parameters.
+//
+// Every field is read from one local 64-bit window of the stream at pos: a
+// single window exposes a group's test bit and its whole zero run, so
+// LeadingZeros64 replaces the per-bit read loop. The window is consumed by
+// shifting and reloaded only when fewer than size+1 of its bits are left —
+// the most one step (a verbatim prefix, or a group's test bit, run and
+// terminator) examines — so small blocks decode several steps per load.
+// Availability is checked against the remaining payload bits before every
+// consume, which reproduces the per-bit reader's ErrOutOfBits outcome on
+// truncated streams exactly. Plane words are OR-ed into the encoder's
+// bit-sliced layout (planeSlot), and because each transpose is an
+// involution one more pass turns them back into coefficient words.
+func decodeBlock(buf []byte, pos int, nb []uint64, h *Codec) (emax, next int, err error) {
+	end := 8 * (len(buf) - windowPad)
+	if pos >= end {
+		return 0, pos, errTruncBlock
+	}
+	win := window(buf, pos)
+	if win>>63 == 0 {
+		return emptyEmax, pos + 1, nil
+	}
+	if end-pos < 16 {
+		return 0, pos, errTruncExponent
+	}
+	emax = int(win>>48&0x7fff) - 16384
+	pos += 16
+	win <<= 16
+	have := 48 // valid bits at the top of win
+	kmin := kminFor(h.mode, h.precision, h.tolerance, emax)
+	size := len(nb)
+	// Full blocks with at most 16 coded planes fill only words [0, 16)
+	// (transposeFrom16 never reads beyond); every other shape ORs into and
+	// transposes the whole block.
+	span := size
+	if size == 64 && intprec-kmin <= 16 {
+		span = 16
+	}
+	clear(nb[:span])
 	n := 0
-	if size == 64 {
-		// Inverse of the encode fast path: store plane k at word 63-k
-		// (planes below kmin stay zero), anti-transpose, read coefficient
-		// i from word 63-i.
-		var planes [64]uint64
-		for k := intprec - 1; k >= kmin; k-- {
-			plane, n2, err := decodePlane(r, size, n)
-			if err != nil {
-				return err
-			}
-			planes[63-k] = plane
-			n = n2
-		}
-		transpose64(&planes)
-		for i := 0; i < 64; i++ {
-			nb[i] = planes[63-i]
-		}
-		return nil
-	}
-	for i := range nb {
-		nb[i] = 0
-	}
 	for k := intprec - 1; k >= kmin; k-- {
-		plane, n2, err := decodePlane(r, size, n)
-		if err != nil {
-			return err
+		var y uint64 // bit 63-i = plane bit of value i
+		if n > 0 {
+			// Verbatim prefix: the next n bits are the plane's top n bits.
+			if end-pos < n {
+				return 0, pos, errTruncPlane
+			}
+			if have <= size {
+				win, have = window(buf, pos), 64
+			}
+			y = win &^ (^uint64(0) >> uint(n))
+			win <<= uint(n)
+			have -= n
+			pos += n
 		}
-		n = n2
-		for i := 0; i < size; i++ {
-			nb[i] |= (plane >> uint(i) & 1) << uint(k)
+		for n < size {
+			if pos >= end {
+				return 0, pos, errTruncPlane
+			}
+			if have <= size {
+				win, have = window(buf, pos), 64
+			}
+			if win>>63 == 0 {
+				// Group test fails: the plane holds no further set bits.
+				win <<= 1
+				have--
+				pos++
+				break
+			}
+			var c int // bits this group consumes
+			lim := size - 1 - n
+			z := bits.LeadingZeros64(win << 1) // zeros after the test bit
+			if z >= lim {
+				// The run reaches the final position; its 1 is implicit. The
+				// encoder emitted 1+lim bits, all of which must really exist.
+				if end-pos < 1+lim {
+					return 0, pos, errTruncPlane
+				}
+				c = 1 + lim
+				y |= 1 << uint(64-size)
+				n = size
+			} else {
+				// A genuine 1 inside the window is never padding, so the z+2
+				// consumed bits are present.
+				c = z + 2
+				y |= 1 << uint(63-n-z)
+				n += z + 1
+			}
+			win <<= uint(c)
+			have -= c
+			pos += c
 		}
+		idx, sh := planeSlot(k, size)
+		nb[idx] |= y >> sh
 	}
-	return nil
+	switch {
+	case size == 4:
+		transposeLanes4((*[4]uint64)(nb))
+	case size == 16:
+		transposeLanes16((*[16]uint64)(nb))
+	case span == 16:
+		transposeFrom16((*[64]uint64)(nb))
+	default:
+		transpose64((*[64]uint64)(nb))
+	}
+	return emax, pos, nil
 }
 
 // assertAccuracyBound reconstructs one block exactly as the decoder will —
@@ -1201,8 +1277,6 @@ func (c *Codec) decompress(ctx context.Context, data []byte) (*grid.Field, error
 	default:
 		return nil, fmt.Errorf("zfp: unknown mode %d in stream: %w", mode, compress.ErrHeader)
 	}
-	r := bitstream.NewReader(rest)
-
 	// Every block costs at least one bit, so the claimed dims cannot imply
 	// more blocks than the payload has bits.
 	if nb := blockCount(dims); nb > 8*len(rest) {
@@ -1212,6 +1286,13 @@ func (c *Codec) decompress(ctx context.Context, data []byte) (*grid.Field, error
 	if err != nil {
 		return nil, err
 	}
+	// h carries the stream's mode parameters to the block decoder, and buf
+	// the payload with the zero tail its window loads rely on.
+	h := &Codec{mode: mode, precision: precision, tolerance: tolerance}
+	buf := parallel.Bytes(len(rest) + windowPad)
+	defer parallel.PutBytes(buf)
+	copy(buf, rest)
+	clear(buf[len(rest):])
 	rank := f.Rank()
 	size := 1 << (2 * uint(rank))
 	bs := blocks(dims)
@@ -1223,10 +1304,10 @@ func (c *Codec) decompress(ctx context.Context, data []byte) (*grid.Field, error
 		// fall back to the serial per-block scratch rather than failing.
 		nbElems := uint64(len(bs)) * uint64(size)
 		if compress.CheckedAlloc("zfp: parsed blocks", nbElems, nbElems, 8) == nil {
-			return c.decompressParallel(ctx, f, bs, r, mode, precision, tolerance, rank, size, workers)
+			return c.decompressParallel(ctx, f, bs, buf, h, rank, size, workers)
 		}
 	}
-	if err := c.decodeSerial(ctx, f, bs, r, mode, precision, tolerance, rank, size); err != nil {
+	if err := c.decodeSerial(ctx, f, bs, buf, h, rank, size); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -1236,7 +1317,7 @@ func (c *Codec) decompress(ctx context.Context, data []byte) (*grid.Field, error
 // goroutine under a single zfp.shard_decode span, mirroring the shard spans
 // of the parallel path so chunked traces expose the decode structure at any
 // worker budget.
-func (c *Codec) decodeSerial(ctx context.Context, f *grid.Field, bs []blockShape, r *bitstream.Reader, mode byte, precision uint, tolerance float64, rank, size int) (err error) {
+func (c *Codec) decodeSerial(ctx context.Context, f *grid.Field, bs []blockShape, buf []byte, h *Codec, rank, size int) (err error) {
 	_, sp := trace.Start(ctx, "zfp.shard_decode")
 	defer sp.End()
 	defer func() { sp.SetError(err) }()
@@ -1247,37 +1328,29 @@ func (c *Codec) decodeSerial(ctx context.Context, f *grid.Field, bs []blockShape
 	rec := obs.Enabled()
 	var planeNs, invNs, nBlocks int64
 	var t0 time.Time
+	pos := 0
 	for _, b := range bs {
 		if invariant.Enabled {
 			for d := 0; d < 3; d++ {
 				invariant.InRange(b.size[d], 1, 5, "zfp: decode block extent")
 			}
 		}
-		nonEmpty, rerr := r.ReadBit()
-		if rerr != nil {
-			return fmt.Errorf("zfp: truncated stream: %w", rerr)
+		if rec {
+			t0 = time.Now()
 		}
-		if nonEmpty == 0 {
-			for i := range s.vals {
-				s.vals[i] = 0
-			}
+		emax, next, derr := decodeBlock(buf, pos, s.nb, h)
+		if derr != nil {
+			return derr
+		}
+		pos = next
+		if emax == emptyEmax {
+			clear(s.vals)
 			scatter(f, b, s.vals)
 			continue
 		}
-		e, rerr := r.ReadBits(15)
-		if rerr != nil {
-			return fmt.Errorf("zfp: truncated exponent: %w", rerr)
-		}
-		emax := int(e) - 16384
-		if rec {
-			nBlocks++
-			t0 = time.Now()
-		}
-		if derr := decodePlanes(r, s.nb, size, kminFor(mode, precision, tolerance, emax)); derr != nil {
-			return fmt.Errorf("zfp: truncated plane: %w", derr)
-		}
 		if rec {
 			now := time.Now()
+			nBlocks++
 			planeNs += now.Sub(t0).Nanoseconds()
 			t0 = now
 		}
@@ -1299,7 +1372,7 @@ func (c *Codec) decodeSerial(ctx context.Context, f *grid.Field, bs []blockShape
 // coefficients, then the pool runs the independent inverse transforms and
 // scatters. Scatter regions are disjoint by construction, so workers never
 // write the same sample.
-func (c *Codec) decompressParallel(ctx context.Context, f *grid.Field, bs []blockShape, r *bitstream.Reader, mode byte, precision uint, tolerance float64, rank, size, workers int) (*grid.Field, error) {
+func (c *Codec) decompressParallel(ctx context.Context, f *grid.Field, bs []blockShape, buf []byte, h *Codec, rank, size, workers int) (*grid.Field, error) {
 	nbAll := parallel.Uint64s(len(bs) * size)
 	defer parallel.PutUint64s(nbAll)
 	emaxs := parallel.Ints(len(bs))
@@ -1308,34 +1381,24 @@ func (c *Codec) decompressParallel(ctx context.Context, f *grid.Field, bs []bloc
 	rec := obs.Enabled()
 	var planeNs, nBlocks int64
 	var t0 time.Time
+	pos := 0
 	for bi, b := range bs {
 		if invariant.Enabled {
 			for d := 0; d < 3; d++ {
 				invariant.InRange(b.size[d], 1, 5, "zfp: decode block extent")
 			}
 		}
-		nonEmpty, err := r.ReadBit()
-		if err != nil {
-			return nil, fmt.Errorf("zfp: truncated stream: %w", err)
-		}
-		if nonEmpty == 0 {
-			emaxs[bi] = emptyEmax
-			continue
-		}
-		e, err := r.ReadBits(15)
-		if err != nil {
-			return nil, fmt.Errorf("zfp: truncated exponent: %w", err)
-		}
-		emax := int(e) - 16384
-		emaxs[bi] = emax
 		if rec {
-			nBlocks++
 			t0 = time.Now()
 		}
-		if err := decodePlanes(r, nbAll[bi*size:(bi+1)*size], size, kminFor(mode, precision, tolerance, emax)); err != nil {
-			return nil, fmt.Errorf("zfp: truncated plane: %w", err)
+		emax, next, err := decodeBlock(buf, pos, nbAll[bi*size:(bi+1)*size], h)
+		if err != nil {
+			return nil, err
 		}
-		if rec {
+		pos = next
+		emaxs[bi] = emax
+		if rec && emax != emptyEmax {
+			nBlocks++
 			planeNs += time.Since(t0).Nanoseconds()
 		}
 	}
@@ -1353,9 +1416,7 @@ func (c *Codec) decompressParallel(ctx context.Context, f *grid.Field, bs []bloc
 		var st time.Time
 		for bi := lo; bi < hi; bi++ {
 			if emaxs[bi] == emptyEmax {
-				for i := range s.vals {
-					s.vals[i] = 0
-				}
+				clear(s.vals)
 				scatter(f, bs[bi], s.vals)
 				continue
 			}

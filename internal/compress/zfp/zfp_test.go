@@ -2,6 +2,7 @@ package zfp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -112,33 +113,43 @@ func TestNegabinaryRoundTrip(t *testing.T) {
 }
 
 func TestPlaneCodingRoundTrip(t *testing.T) {
-	// Exhaustive for 4-value blocks, random for 64.
-	for x := uint64(0); x < 16; x++ {
-		for n0 := 0; n0 <= 4; n0++ {
-			var w testWriter
-			n1 := encodePlane(&w.w, x, 4, n0)
-			got, n2, err := decodePlane(w.reader(), 4, n0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != x || n1 != n2 {
-				t.Fatalf("plane x=%04b n0=%d: got %04b n=%d, want %04b n=%d", x, n0, got, n2, x, n1)
+	// roundTrip codes one block with the production encoder behind a block
+	// header (exponent 0) and requires decodeBlock to return exactly the
+	// coded planes and to stop exactly where the encoder did.
+	roundTrip := func(nb []uint64, p int, label string) {
+		t.Helper()
+		kmin := intprec - p
+		var w bitstream.Writer
+		w.WriteBits(1<<15|16384, 16)
+		encodePlanes(&w, append([]uint64(nil), nb...), len(nb), kmin)
+		got := make([]uint64, len(nb))
+		emax, next, err := decodeBlock(padded(w.Bytes()), 0, got, MustNew(p))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if emax != 0 || next != w.Len() {
+			t.Fatalf("%s: emax %d next %d, want 0 and %d", label, emax, next, w.Len())
+		}
+		want := maskBelow(nb, kmin)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: coeff %d = %#x, want %#x", label, i, got[i], want[i])
 			}
 		}
 	}
+	// Exhaustive over the top three planes of 4-value blocks, with junk
+	// below the coded planes that the decoder must not reproduce.
+	for x := 0; x < 1<<12; x++ {
+		nb := make([]uint64, 4)
+		for i := range nb {
+			nb[i] = uint64(x>>(3*i)&7)<<61 | uint64(x*i)
+		}
+		roundTrip(nb, 3, fmt.Sprintf("4-value block %03x", x))
+	}
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 2000; trial++ {
-		x := rng.Uint64()
-		n0 := rng.Intn(65)
-		var w testWriter
-		n1 := encodePlane(&w.w, x, 64, n0)
-		got, n2, err := decodePlane(w.reader(), 64, n0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != x || n1 != n2 {
-			t.Fatalf("plane trial %d mismatch", trial)
-		}
+		size := []int{4, 16, 64}[trial%3]
+		roundTrip(randomBlock(rng, size), 1+rng.Intn(MaxPrecision), fmt.Sprintf("trial %d size %d", trial, size))
 	}
 }
 
@@ -338,11 +349,6 @@ func TestNegativeValues(t *testing.T) {
 		}
 	}
 }
-
-// testWriter adapts bitstream for the plane tests.
-type testWriter struct{ w bitstream.Writer }
-
-func (tw *testWriter) reader() *bitstream.Reader { return bitstream.NewReader(tw.w.Bytes()) }
 
 func TestSequencyPermutations(t *testing.T) {
 	for rank := 1; rank <= 3; rank++ {

@@ -31,12 +31,13 @@ var AnalyzerHotAlloc = &Analyzer{
 // free in steady state. Methods are listed by bare name.
 var hotPathFuncs = map[string]map[string]bool{
 	"lrm/internal/compress/zfp": {
-		"encodePlane": true, "decodePlane": true,
-		"encodePlanes": true, "decodePlanes": true,
+		"encodePlanes": true, "decodeBlock": true, "reconstructBlock": true,
+		"planeWord": true, "window": true,
 		"transpose64": true, "transposeTop": true, "transposeTop16": true,
+		"transposeFrom16": true, "transposeLanes16": true, "transposeLanes4": true,
 		"transformForward": true, "transformInverse": true,
-		"fwdLift": true, "invLift": true, "lift4": true,
-		"gather": true, "scatter": true,
+		"fwdLift": true, "invLift": true, "lift4": true, "unlift4": true,
+		"gather": true, "scatter": true, "move4": true,
 	},
 	"lrm/internal/compress/sz": {
 		"quantizeAt": true, "quantizeRow1": true, "quantizeRow2": true,
